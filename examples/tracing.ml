@@ -6,9 +6,6 @@
    buffer, and sink alerts carry a provenance chain naming the input
    bytes that reached them.
 
-   (The older per-instruction hook [Cpu.trace] still exists for raw
-   instruction streams; Flowtrace is the structured replacement.)
-
    Run with: dune exec examples/tracing.exe *)
 
 open Shift_isa

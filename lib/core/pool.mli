@@ -9,9 +9,8 @@
     returns results in the order of its input list, whatever order the
     items were picked up in.
 
-    Promoted from the bench harness so the core library ({!Fleet}) and
-    the CLI can batch sessions across domains; [bench/pool.ml] remains
-    as a re-export shim. *)
+    Shared by the bench harness, the core library ({!Fleet}) and the
+    CLI, which all batch sessions across domains through it. *)
 
 val set_domains : int -> unit
 (** Fix the pool size used by {!map} when no [?domains] override is

@@ -159,15 +159,13 @@ let import_cpu hart (cpu : Cpu.t) =
       Array.blit ids 0 regs.Flowtrace.id 0 (Array.length ids);
       Array.blit depths 0 regs.Flowtrace.depth 0 (Array.length depths)
 
-let dump_memory mem =
-  Memory.fold_pages mem ~init:[] ~f:(fun acc key page ->
-      (key, Bytes.to_string page) :: acc)
+(* the pages of a memory or provenance map, in ascending key order *)
+let dump_pages fold_pages x =
+  fold_pages x ~init:[] ~f:(fun acc key page -> (key, Bytes.to_string page) :: acc)
   |> List.rev
 
-let dump_provenance pmap =
-  Provenance.fold_pages pmap ~init:[] ~f:(fun acc key page ->
-      (key, Bytes.to_string page) :: acc)
-  |> List.rev
+let dump_memory = dump_pages Memory.fold_pages
+let dump_provenance = dump_pages Provenance.fold_pages
 
 let load_memory mem pages =
   List.iter (fun (key, data) -> Memory.load_page mem key data) pages
@@ -175,8 +173,12 @@ let load_memory mem pages =
 let load_provenance pmap pages =
   List.iter (fun (key, data) -> Provenance.load_page pmap key data) pages
 
-let capture ?(meta = []) ?tracking ~image ~config ~fuel_left ~result ~engine
-    ~world () =
+let envelope ?(meta = []) ?tracking ~image ~config ~fuel_left ~result ~world
+    ~memory machine flow =
+  let world = World.dump world in
+  { meta; image; config; fuel_left; result; memory; machine; world; flow; tracking }
+
+let capture ?meta ?tracking ~image ~config ~fuel_left ~result ~engine ~world () =
   let traced = config.c_trace <> None in
   let hart0 = Exec.hart0 engine in
   let machine =
@@ -203,24 +205,14 @@ let capture ?(meta = []) ?tracking ~image ~config ~fuel_left ~result ~engine
       Some (Flowtrace.dump ft, dump_provenance (Flowtrace.provenance ft))
     else None
   in
-  {
-    meta;
-    image;
-    config;
-    fuel_left;
-    result;
-    memory = dump_memory hart0.Cpu.mem;
-    machine;
-    world = World.dump world;
-    flow;
-    tracking;
-  }
+  envelope ?meta ?tracking ~image ~config ~fuel_left ~result ~world
+    ~memory:(dump_memory hart0.Cpu.mem) machine flow
 
 (* Like [capture], for a process-table machine: every process carries
    its own address space and provenance shadow, so the pages live
    per-process and the top-level [memory] (and the flow entry's page
    list) stay empty. *)
-let capture_procs ?(meta = []) ?tracking ~image ~config ~fuel_left ~result
+let capture_procs ?meta ?tracking ~image ~config ~fuel_left ~result
     ~(procs : Process.t) ~world () =
   let traced = config.c_trace <> None in
   let pm_procs =
@@ -243,1091 +235,795 @@ let capture_procs ?(meta = []) ?tracking ~image ~config ~fuel_left ~result
       Some (Flowtrace.dump (Process.pid1_cpu procs).Cpu.flowtrace, [])
     else None
   in
-  {
-    meta;
-    image;
-    config;
-    fuel_left;
-    result;
-    memory = [];
-    machine =
-      M_procs
-        {
-          pm_quantum = Process.quantum procs;
-          pm_next_pid = Process.next_pid procs;
-          pm_procs;
-          pm_round = Process.round procs;
-          pm_finished = Process.finished procs;
-          pm_retired = Stats.copy (Process.retired procs);
-        };
-    world = World.dump world;
-    flow;
-    tracking;
-  }
+  envelope ?meta ?tracking ~image ~config ~fuel_left ~result ~world ~memory:[]
+    (M_procs
+       {
+         pm_quantum = Process.quantum procs;
+         pm_next_pid = Process.next_pid procs;
+         pm_procs;
+         pm_round = Process.round procs;
+         pm_finished = Process.finished procs;
+         pm_retired = Stats.copy (Process.retired procs);
+       })
+    flow
 
-(* ---------- JSON serialisation ---------- *)
+(* ---------- JSON serialisation ----------
 
-exception Bad of string
+   Every component is declared once, as a bidirectional codec from which
+   both the encoder and the decoder are derived: a record lists each
+   field's name, codec and getter in emission order; a variant names
+   its cases, each writing its tag first and its payload fields inline. *)
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+module Codec = struct
+  type json = Results.json
+  type 'a t = { enc : 'a -> json; dec : json -> 'a }
 
-let hex_encode s =
-  let n = String.length s in
-  let b = Bytes.create (2 * n) in
-  let digit k =
-    Char.chr (if k < 10 then Char.code '0' + k else Char.code 'a' + k - 10)
-  in
-  for i = 0 to n - 1 do
-    let c = Char.code s.[i] in
-    Bytes.set b (2 * i) (digit (c lsr 4));
-    Bytes.set b ((2 * i) + 1) (digit (c land 0xf))
-  done;
-  Bytes.to_string b
+  exception Bad of string
 
-let hex_decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then bad "odd-length hex payload";
-  let v c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> bad "invalid hex digit %C" c
-  in
-  String.init (n / 2) (fun i ->
-      Char.chr ((v s.[2 * i] lsl 4) lor v s.[(2 * i) + 1]))
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-(* int64 values are serialised as decimal strings: [Results.Int] is a
-   native OCaml int, which cannot represent the full register range. *)
-let j64 v = Results.String (Int64.to_string v)
+  (* ---- primitives ---- *)
 
-let jbool b = Results.Bool b
-let jint n = Results.Int n
-let jstr s = Results.String s
-let jopt f = function None -> Results.Null | Some v -> f v
+  let int =
+    { enc = (fun n -> Results.Int n);
+      dec = (function Results.Int n -> n | _ -> bad "expected an integer") }
 
-let jbits a =
-  Results.String (String.init (Array.length a) (fun i -> if a.(i) then '1' else '0'))
+  let bool =
+    { enc = (fun b -> Results.Bool b);
+      dec = (function Results.Bool b -> b | _ -> bad "expected a boolean") }
 
-let jints a = Results.List (Array.to_list a |> List.map jint)
-let ji64s a = Results.List (Array.to_list a |> List.map j64)
+  let string =
+    { enc = (fun s -> Results.String s);
+      dec = (function Results.String s -> s | _ -> bad "expected a string") }
 
-(* ---- decoding primitives ---- *)
+  let conv enc dec c =
+    { enc = (fun v -> c.enc (enc v)); dec = (fun j -> dec (c.dec j)) }
 
-let field name j =
-  match Results.member name j with
-  | Some v -> v
-  | None -> bad "missing field %S" name
+  (* int64 values are serialised as decimal strings: [Results.Int] is a
+     native OCaml int, which cannot represent the full register range. *)
+  let int64 =
+    { enc = (fun v -> Results.String (Int64.to_string v));
+      dec =
+        (function
+        | Results.String s -> (
+            match Int64.of_string_opt s with
+            | Some v -> v
+            | None -> bad "expected an int64 string, got %S" s)
+        | Results.Int n -> Int64.of_int n
+        | _ -> bad "expected an int64") }
 
-let as_int = function Results.Int n -> n | _ -> bad "expected an integer"
-let as_bool = function Results.Bool b -> b | _ -> bad "expected a boolean"
-let as_string = function Results.String s -> s | _ -> bad "expected a string"
-let as_list = function Results.List l -> l | _ -> bad "expected a list"
+  let bits =
+    conv
+      (fun a -> String.init (Array.length a) (fun i -> if a.(i) then '1' else '0'))
+      (fun s ->
+        Array.init (String.length s) (fun i ->
+            match s.[i] with
+            | '1' -> true
+            | '0' -> false
+            | c -> bad "invalid bit %C" c))
+      string
 
-let as_i64 = function
-  | Results.String s -> (
-      match Int64.of_string_opt s with
-      | Some v -> v
-      | None -> bad "expected an int64 string, got %S" s)
-  | Results.Int n -> Int64.of_int n
-  | _ -> bad "expected an int64"
+  let hex_encode s =
+    String.init (2 * String.length s) (fun i ->
+        let c = Char.code (String.unsafe_get s (i lsr 1)) in
+        "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 0xf])
 
-let as_opt f = function Results.Null -> None | j -> Some (f j)
+  let hex_decode s =
+    let n = String.length s in
+    if n mod 2 <> 0 then bad "odd-length hex payload";
+    let v c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> bad "invalid hex digit %C" c
+    in
+    String.init (n / 2) (fun i ->
+        Char.chr ((v s.[2 * i] lsl 4) lor v s.[(2 * i) + 1]))
 
-let as_bits j =
-  let s = as_string j in
-  Array.init (String.length s) (fun i ->
-      match s.[i] with
-      | '1' -> true
-      | '0' -> false
-      | c -> bad "invalid bit %C" c)
+  (* binary payloads: memory pages, argv and pipe bytes, images *)
+  let hex = conv hex_encode hex_decode string
 
-let as_ints j = as_list j |> List.map as_int |> Array.of_list
-let as_i64s j = as_list j |> List.map as_i64 |> Array.of_list
+  (* A marshalled value.  Hostile bytes come back as [Bad]: a short
+     payload fails Marshal's header check with [Invalid_argument], a
+     corrupt one with [Failure]. *)
+  let marshalled what =
+    conv
+      (fun v -> Marshal.to_string v [])
+      (fun s ->
+        try Marshal.from_string s 0
+        with Failure _ | Invalid_argument _ -> bad "corrupt embedded %s" what)
+      hex
 
-let ifield name j = as_int (field name j)
-let sfield name j = as_string (field name j)
-let bfield name j = as_bool (field name j)
-let i64field name j = as_i64 (field name j)
+  (* a closed set of names *)
+  let enum what to_string of_string =
+    conv to_string
+      (fun s ->
+        match of_string s with Some v -> v | None -> bad "unknown %s %S" what s)
+      string
+
+  let enum_cases what cases =
+    enum what
+      (fun v -> fst (List.find (fun (_, v') -> v' = v) cases))
+      (fun s -> List.assoc_opt s cases)
+
+  (* ---- containers ---- *)
+
+  let list c =
+    { enc = (fun l -> Results.List (List.map c.enc l));
+      dec =
+        (function Results.List l -> List.map c.dec l | _ -> bad "expected a list") }
+
+  let array c = conv Array.to_list Array.of_list (list c)
+
+  (* [None] is [null] *)
+  let option c =
+    { enc = (function None -> Results.Null | Some v -> c.enc v);
+      dec = (function Results.Null -> None | j -> Some (c.dec j)) }
+
+  (* a two-element list *)
+  let pair what a b =
+    { enc = (fun (x, y) -> Results.List [ a.enc x; b.enc y ]);
+      dec =
+        (function
+        | Results.List [ x; y ] -> (a.dec x, b.dec y)
+        | _ -> bad "malformed %s" what) }
+
+  (* an object read as a string-keyed map, in emission order *)
+  let assoc c =
+    { enc = (fun kvs -> Results.Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs));
+      dec =
+        (function
+        | Results.Obj kvs -> List.map (fun (k, v) -> (k, c.dec v)) kvs
+        | _ -> bad "expected an object") }
+
+  (* ---- fields ---- *)
+
+  type fields = (string * json) list
+
+  (* a decoding error names the path of fields it occurred under *)
+  let get ?default name c j =
+    match Results.member name j with
+    | Some v -> ( try c.dec v with Bad msg -> bad "%s: %s" name msg)
+    | None -> (
+        match default with Some d -> d | None -> bad "missing field %S" name)
+
+  (* ---- records ----
+
+     [record cons |+ field ... |+ field ... |> seal]: fields are written
+     in declaration order and decoded into [cons]'s arguments in that
+     same order.  [emit r rest] puts a field's entry in front of the
+     entries of the fields after it. *)
+
+  type ('r, 'a) field = { emit : 'r -> fields -> fields; take : json -> 'a }
+
+  (* always written; [default] is what an absent field decodes to *)
+  let field ?default name c getter =
+    { emit = (fun r rest -> (name, c.enc (getter r)) :: rest);
+      take = get ?default name c }
+
+  (* The omission rule: a field holding its default is left out, and an
+     absent field decodes to that default — so snapshots of sessions
+     that do not use a feature keep the bytes they had before it
+     existed. *)
+  let opt name c ~default getter =
+    let f = field ~default name c getter in
+    { f with
+      emit = (fun r rest -> if getter r = default then rest else f.emit r rest) }
+
+  let record cons = { emit = (fun _ rest -> rest); take = (fun _ -> cons) }
+
+  let ( |+ ) fs f =
+    { emit = (fun r rest -> fs.emit r (f.emit r rest));
+      take =
+        (fun j ->
+          let k = fs.take j in
+          k (f.take j)) }
+
+  let seal fs =
+    { enc = (fun r -> Results.Obj (fs.emit r [])); dec = fs.take }
+
+  (* objects of two or three named fields, read as tuples *)
+  let obj2 (n1, c1) (n2, c2) =
+    record (fun a b -> (a, b)) |+ field n1 c1 fst |+ field n2 c2 snd |> seal
+
+  let obj3 (n1, c1) (n2, c2) (n3, c3) =
+    record (fun a b c -> (a, b, c))
+    |+ field n1 c1 (fun (a, _, _) -> a)
+    |+ field n2 c2 (fun (_, b, _) -> b)
+    |+ field n3 c3 (fun (_, _, c) -> c)
+    |> seal
+
+  (* ---- variants ----
+
+     [case tag Args.[ (name, codec); ... ]] declares a case and its
+     payload fields; [variant key readers writer] is an object whose
+     [key] field, written first, holds the tag, followed inline by the
+     payload.  [case => cons] reads a case's payload into a value, and
+     the writer matches on the value and hands its payload to
+     [put case Vals.[ ... ]]. *)
+
+  type 'a codec = 'a t
+
+  module Args = struct
+    type _ t = [] : unit t | ( :: ) : (string * 'a codec) * 'p t -> ('a * 'p) t
+  end
+
+  module Vals = struct
+    type _ t = [] : unit t | ( :: ) : 'a * 'p t -> ('a * 'p) t
+  end
+
+  type 'p case = { tag : string; args : 'p Args.t }
+
+  let case tag args = { tag; args }
+
+  let rec read : type p. p Args.t -> json -> p Vals.t =
+   fun args j ->
+    match args with
+    | Args.[] -> Vals.[]
+    | Args.((name, c) :: rest) ->
+        let v = get name c j in
+        Vals.(v :: read rest j)
+
+  let rec write : type p. p Args.t -> p Vals.t -> fields =
+   fun args vals ->
+    match (args, vals) with
+    | Args.[], Vals.[] -> []
+    | Args.((name, c) :: rest), Vals.(v :: vs) -> (name, c.enc v) :: write rest vs
+
+  let ( => ) c cons = (c.tag, fun j -> cons (read c.args j))
+  let put c vals = (c.tag, write c.args vals)
+
+  let variant key readers writer =
+    { enc =
+        (fun v ->
+          let tag, fields = writer v in
+          Results.Obj ((key, Results.String tag) :: fields));
+      dec =
+        (fun j ->
+          let tag = get key string j in
+          match List.assoc_opt tag readers with
+          | Some read -> read j
+          | None -> bad "unknown %s %S" key tag) }
+end
+
+open Codec
 
 (* ---- faults, alerts, outcomes ---- *)
 
-let nat_use_to_json (u : Fault.nat_use) =
-  jstr
-    (match u with
-    | Fault.Load_address -> "load_address"
-    | Fault.Store_address -> "store_address"
-    | Fault.Store_value -> "store_value"
-    | Fault.Branch_target -> "branch_target"
-    | Fault.Call_target -> "call_target")
-
-let nat_use_of_json j : Fault.nat_use =
-  match as_string j with
-  | "load_address" -> Fault.Load_address
-  | "store_address" -> Fault.Store_address
-  | "store_value" -> Fault.Store_value
-  | "branch_target" -> Fault.Branch_target
-  | "call_target" -> Fault.Call_target
-  | s -> bad "unknown NaT use %S" s
-
-let fault_to_json (f : Fault.t) =
-  Results.Obj
-    (match f with
-    | Fault.Nat_consumption u ->
-        [ ("fault", jstr "nat_consumption"); ("use", nat_use_to_json u) ]
-    | Fault.Invalid_address a ->
-        [ ("fault", jstr "invalid_address"); ("addr", j64 a) ]
-    | Fault.Invalid_branch a ->
-        [ ("fault", jstr "invalid_branch"); ("target", j64 a) ]
-    | Fault.Div_by_zero -> [ ("fault", jstr "div_by_zero") ]
-    | Fault.Call_stack_overflow -> [ ("fault", jstr "call_stack_overflow") ]
-    | Fault.Call_stack_underflow -> [ ("fault", jstr "call_stack_underflow") ])
-
-let fault_of_json j : Fault.t =
-  match sfield "fault" j with
-  | "nat_consumption" -> Fault.Nat_consumption (nat_use_of_json (field "use" j))
-  | "invalid_address" -> Fault.Invalid_address (i64field "addr" j)
-  | "invalid_branch" -> Fault.Invalid_branch (i64field "target" j)
-  | "div_by_zero" -> Fault.Div_by_zero
-  | "call_stack_overflow" -> Fault.Call_stack_overflow
-  | "call_stack_underflow" -> Fault.Call_stack_underflow
-  | s -> bad "unknown fault %S" s
-
-let alert_to_json (a : Alert.t) =
-  Results.Obj
+let fault : Fault.t Codec.t =
+  let nat_use =
+    enum_cases "NaT use"
+      [ ("load_address", Fault.Load_address); ("store_address", Fault.Store_address);
+        ("store_value", Fault.Store_value); ("branch_target", Fault.Branch_target);
+        ("call_target", Fault.Call_target) ]
+  in
+  let nat = case "nat_consumption" Args.[ ("use", nat_use) ]
+  and address = case "invalid_address" Args.[ ("addr", int64) ]
+  and branch = case "invalid_branch" Args.[ ("target", int64) ]
+  and div = case "div_by_zero" Args.[]
+  and overflow = case "call_stack_overflow" Args.[]
+  and underflow = case "call_stack_underflow" Args.[] in
+  variant "fault"
     [
-      ("policy", jstr a.Alert.policy);
-      ("message", jstr a.Alert.message);
-      ("signature", jopt jstr a.Alert.signature);
-      ("chain", Results.List (List.map jstr a.Alert.chain));
+      (nat => fun Vals.[ u ] -> Fault.Nat_consumption u);
+      (address => fun Vals.[ a ] -> Fault.Invalid_address a);
+      (branch => fun Vals.[ a ] -> Fault.Invalid_branch a);
+      (div => fun _ -> Fault.Div_by_zero);
+      (overflow => fun _ -> Fault.Call_stack_overflow);
+      (underflow => fun _ -> Fault.Call_stack_underflow);
     ]
+    (function
+      | Fault.Nat_consumption u -> put nat Vals.[ u ]
+      | Fault.Invalid_address a -> put address Vals.[ a ]
+      | Fault.Invalid_branch a -> put branch Vals.[ a ]
+      | Fault.Div_by_zero -> put div Vals.[]
+      | Fault.Call_stack_overflow -> put overflow Vals.[]
+      | Fault.Call_stack_underflow -> put underflow Vals.[])
 
-let alert_of_json j : Alert.t =
-  {
-    Alert.policy = sfield "policy" j;
-    message = sfield "message" j;
-    signature = as_opt as_string (field "signature" j);
-    chain = as_list (field "chain" j) |> List.map as_string;
-  }
+let alert =
+  record (fun policy message signature chain ->
+      { Alert.policy; message; signature; chain })
+  |+ field "policy" string (fun a -> a.Alert.policy)
+  |+ field "message" string (fun a -> a.Alert.message)
+  |+ field "signature" (option string) (fun a -> a.Alert.signature)
+  |+ field "chain" (list string) (fun a -> a.Alert.chain)
+  |> seal
 
-let outcome_to_json (o : Report.outcome) =
-  Results.Obj
-    (match o with
-    | Report.Exited code -> [ ("kind", jstr "exited"); ("code", j64 code) ]
-    | Report.Alert a -> [ ("kind", jstr "alert"); ("alert", alert_to_json a) ]
-    | Report.Fault f -> [ ("kind", jstr "fault"); ("fault", fault_to_json f) ]
-    | Report.Timeout -> [ ("kind", jstr "timeout") ])
+let outcome : Report.outcome Codec.t =
+  let exited = case "exited" Args.[ ("code", int64) ]
+  and alert = case "alert" Args.[ ("alert", alert) ]
+  and fault = case "fault" Args.[ ("fault", fault) ]
+  and timeout = case "timeout" Args.[] in
+  variant "kind"
+    [
+      (exited => fun Vals.[ c ] -> Report.Exited c);
+      (alert => fun Vals.[ a ] -> Report.Alert a);
+      (fault => fun Vals.[ f ] -> Report.Fault f);
+      (timeout => fun _ -> Report.Timeout);
+    ]
+    (function
+      | Report.Exited c -> put exited Vals.[ c ]
+      | Report.Alert a -> put alert Vals.[ a ]
+      | Report.Fault f -> put fault Vals.[ f ]
+      | Report.Timeout -> put timeout Vals.[])
 
-let outcome_of_json j : Report.outcome =
-  match sfield "kind" j with
-  | "exited" -> Report.Exited (i64field "code" j)
-  | "alert" -> Report.Alert (alert_of_json (field "alert" j))
-  | "fault" -> Report.Fault (fault_of_json (field "fault" j))
-  | "timeout" -> Report.Timeout
-  | s -> bad "unknown outcome kind %S" s
+(* an exit value, or the fault and the ip it struck at *)
+let value = Args.[ ("value", int64) ]
+let struck = Args.[ ("fault", fault); ("ip", int) ]
 
-let cpu_outcome_to_json (o : Cpu.outcome) =
-  Results.Obj
-    (match o with
-    | Cpu.Exited v -> [ ("kind", jstr "exited"); ("value", j64 v) ]
-    | Cpu.Faulted (f, ip) ->
-        [ ("kind", jstr "faulted"); ("fault", fault_to_json f); ("ip", jint ip) ]
-    | Cpu.Out_of_fuel -> [ ("kind", jstr "out_of_fuel") ])
+let cpu_outcome : Cpu.outcome Codec.t =
+  let exited = case "exited" value
+  and faulted = case "faulted" struck
+  and out_of_fuel = case "out_of_fuel" Args.[] in
+  variant "kind"
+    [
+      (exited => fun Vals.[ v ] -> Cpu.Exited v);
+      (faulted => fun Vals.[ f; ip ] -> Cpu.Faulted (f, ip));
+      (out_of_fuel => fun _ -> Cpu.Out_of_fuel);
+    ]
+    (function
+      | Cpu.Exited v -> put exited Vals.[ v ]
+      | Cpu.Faulted (f, ip) -> put faulted Vals.[ f; ip ]
+      | Cpu.Out_of_fuel -> put out_of_fuel Vals.[])
 
-let cpu_outcome_of_json j : Cpu.outcome =
-  match sfield "kind" j with
-  | "exited" -> Cpu.Exited (i64field "value" j)
-  | "faulted" -> Cpu.Faulted (fault_of_json (field "fault" j), ifield "ip" j)
-  | "out_of_fuel" -> Cpu.Out_of_fuel
-  | s -> bad "unknown machine outcome %S" s
+let hart_state : Smp.state Codec.t =
+  let running = case "running" Args.[]
+  and done_ = case "done" value
+  and crashed = case "crashed" struck in
+  variant "state"
+    [
+      (running => fun _ -> Smp.Running);
+      (done_ => fun Vals.[ v ] -> Smp.Done v);
+      (crashed => fun Vals.[ f; ip ] -> Smp.Crashed (f, ip));
+    ]
+    (function
+      | Smp.Running -> put running Vals.[]
+      | Smp.Done v -> put done_ Vals.[ v ]
+      | Smp.Crashed (f, ip) -> put crashed Vals.[ f; ip ])
 
-let hart_state_to_json (s : Smp.state) =
-  Results.Obj
-    (match s with
-    | Smp.Running -> [ ("state", jstr "running") ]
-    | Smp.Done v -> [ ("state", jstr "done"); ("value", j64 v) ]
-    | Smp.Crashed (f, ip) ->
-        [ ("state", jstr "crashed"); ("fault", fault_to_json f); ("ip", jint ip) ])
-
-let hart_state_of_json j : Smp.state =
-  match sfield "state" j with
-  | "running" -> Smp.Running
-  | "done" -> Smp.Done (i64field "value" j)
-  | "crashed" -> Smp.Crashed (fault_of_json (field "fault" j), ifield "ip" j)
-  | s -> bad "unknown hart state %S" s
-
-let proc_state_to_json (s : Process.state) =
-  Results.Obj
-    (match s with
-    | Process.Run -> [ ("state", jstr "run") ]
-    | Process.Zombie v -> [ ("state", jstr "zombie"); ("value", j64 v) ]
-    | Process.Crashed (f, ip) ->
-        [ ("state", jstr "crashed"); ("fault", fault_to_json f); ("ip", jint ip) ])
-
-let proc_state_of_json j : Process.state =
-  match sfield "state" j with
-  | "run" -> Process.Run
-  | "zombie" -> Process.Zombie (i64field "value" j)
-  | "crashed" -> Process.Crashed (fault_of_json (field "fault" j), ifield "ip" j)
-  | s -> bad "unknown process state %S" s
+let proc_state : Process.state Codec.t =
+  let run = case "run" Args.[]
+  and zombie = case "zombie" value
+  and crashed = case "crashed" struck in
+  variant "state"
+    [
+      (run => fun _ -> Process.Run);
+      (zombie => fun Vals.[ v ] -> Process.Zombie v);
+      (crashed => fun Vals.[ f; ip ] -> Process.Crashed (f, ip));
+    ]
+    (function
+      | Process.Run -> put run Vals.[]
+      | Process.Zombie v -> put zombie Vals.[ v ]
+      | Process.Crashed (f, ip) -> put crashed Vals.[ f; ip ])
 
 (* ---- configuration ---- *)
 
-let policy_to_json (p : Policy.t) =
-  Results.Obj
+let policy =
+  let action =
+    enum_cases "policy action"
+      [ ("halt", Policy.Halt_program); ("log", Policy.Log_only) ]
+  in
+  record (fun taint_network taint_files h1 h2 h3 h4 h5 low_level action ->
+      { Policy.taint_network; taint_files; h1; h2; h3; h4; h5; low_level; action })
+  |+ field "taint_network" bool (fun p -> p.Policy.taint_network)
+  |+ field "taint_files" bool (fun p -> p.Policy.taint_files)
+  |+ field "h1" bool (fun p -> p.Policy.h1)
+  |+ field "h2" (option string) (fun p -> p.Policy.h2)
+  |+ field "h3" bool (fun p -> p.Policy.h3)
+  |+ field "h4" bool (fun p -> p.Policy.h4)
+  |+ field "h5" bool (fun p -> p.Policy.h5)
+  |+ field "low_level" bool (fun p -> p.Policy.low_level)
+  |+ field "action" action (fun p -> p.Policy.action)
+  |> seal
+
+let io_cost =
+  record (fun per_call per_byte sendfile_per_byte ->
+      { World.per_call; per_byte; sendfile_per_byte })
+  |+ field "per_call" int (fun c -> c.World.per_call)
+  |+ field "per_byte" int (fun c -> c.World.per_byte)
+  |+ field "sendfile_per_byte" int (fun c -> c.World.sendfile_per_byte)
+  |> seal
+
+let threading =
+  let single = case "single" Args.[]
+  and threads = case "threads" Args.[ ("quantum", option int) ]
+  and procs =
+    case "procs" Args.[ ("quantum", option int); ("comm", option string) ]
+  in
+  variant "kind"
     [
-      ("taint_network", jbool p.Policy.taint_network);
-      ("taint_files", jbool p.Policy.taint_files);
-      ("h1", jbool p.Policy.h1);
-      ("h2", jopt jstr p.Policy.h2);
-      ("h3", jbool p.Policy.h3);
-      ("h4", jbool p.Policy.h4);
-      ("h5", jbool p.Policy.h5);
-      ("low_level", jbool p.Policy.low_level);
-      ( "action",
-        jstr
-          (match p.Policy.action with
-          | Policy.Halt_program -> "halt"
-          | Policy.Log_only -> "log") );
+      (single => fun _ -> T_single);
+      (threads => fun Vals.[ q ] -> T_threads q);
+      (procs => fun Vals.[ q; c ] -> T_procs { tp_quantum = q; tp_comm = c });
     ]
+    (function
+      | T_single -> put single Vals.[]
+      | T_threads q -> put threads Vals.[ q ]
+      | T_procs { tp_quantum = q; tp_comm = c } -> put procs Vals.[ q; c ])
 
-let policy_of_json j : Policy.t =
-  {
-    Policy.taint_network = bfield "taint_network" j;
-    taint_files = bfield "taint_files" j;
-    h1 = bfield "h1" j;
-    h2 = as_opt as_string (field "h2" j);
-    h3 = bfield "h3" j;
-    h4 = bfield "h4" j;
-    h5 = bfield "h5" j;
-    low_level = bfield "low_level" j;
-    action =
-      (match sfield "action" j with
-      | "halt" -> Policy.Halt_program
-      | "log" -> Policy.Log_only
-      | s -> bad "unknown policy action %S" s);
-  }
+let trace_options =
+  let kind = enum "event kind" Flowtrace.kind_to_string Flowtrace.kind_of_string in
+  record (fun capacity only -> { Flowtrace.capacity; only })
+  |+ field "capacity" int (fun o -> o.Flowtrace.capacity)
+  |+ field "only" (option (list kind)) (fun o -> o.Flowtrace.only)
+  |> seal
 
-let io_cost_to_json (c : World.io_cost) =
-  Results.Obj
-    [
-      ("per_call", jint c.World.per_call);
-      ("per_byte", jint c.World.per_byte);
-      ("sendfile_per_byte", jint c.World.sendfile_per_byte);
-    ]
-
-let io_cost_of_json j : World.io_cost =
-  {
-    World.per_call = ifield "per_call" j;
-    per_byte = ifield "per_byte" j;
-    sendfile_per_byte = ifield "sendfile_per_byte" j;
-  }
-
-let threading_to_json = function
-  | T_single -> Results.Obj [ ("kind", jstr "single") ]
-  | T_threads q ->
-      Results.Obj [ ("kind", jstr "threads"); ("quantum", jopt jint q) ]
-  | T_procs { tp_quantum; tp_comm } ->
-      Results.Obj
-        [
-          ("kind", jstr "procs");
-          ("quantum", jopt jint tp_quantum);
-          ("comm", jopt jstr tp_comm);
-        ]
-
-let threading_of_json j =
-  match sfield "kind" j with
-  | "single" -> T_single
-  | "threads" -> T_threads (as_opt as_int (field "quantum" j))
-  | "procs" ->
-      T_procs
-        {
-          tp_quantum = as_opt as_int (field "quantum" j);
-          tp_comm = as_opt as_string (field "comm" j);
-        }
-  | s -> bad "unknown threading kind %S" s
-
-let trace_options_to_json (o : Flowtrace.options) =
-  Results.Obj
-    [
-      ("capacity", jint o.Flowtrace.capacity);
-      ( "only",
-        jopt
-          (fun ks ->
-            Results.List (List.map (fun k -> jstr (Flowtrace.kind_to_string k)) ks))
-          o.Flowtrace.only );
-    ]
-
-let trace_options_of_json j : Flowtrace.options =
-  {
-    Flowtrace.capacity = ifield "capacity" j;
-    only =
-      as_opt
-        (fun l ->
-          as_list l
-          |> List.map (fun k ->
-                 let s = as_string k in
-                 match Flowtrace.kind_of_string s with
-                 | Some k -> k
-                 | None -> bad "unknown event kind %S" s))
-        (field "only" j);
-  }
-
-let config_to_json c =
-  Results.Obj
-    ([
-       ("policy", policy_to_json c.c_policy);
-       ("io_cost", io_cost_to_json c.c_io_cost);
-       ("fuel", jint c.c_fuel);
-       ("threading", threading_to_json c.c_threading);
-       ("trace", jopt trace_options_to_json c.c_trace);
-       ("superblocks", jbool c.c_superblocks);
-     ]
-    (* appended only when on, so untraced snapshots stay byte-identical
-       to those taken before the observation channel existed *)
-    @ (if c.c_hwtrace then [ ("hwtrace", jbool true) ] else [])
-    (* appended only off the default so nat snapshots stay byte-identical
-       to those taken before backends existed *)
-    @ (match c.c_backend with
-      | Backend.Nat -> []
-      | b -> [ ("backend", jstr (Backend.to_string b)) ])
-    (* likewise appended only when the session carries exec'able aux
-       images (multi-process runs) *)
-    @
-    match c.c_images with
-    | [] -> []
-    | images ->
-        [
-          ( "images",
-            Results.List
-              (List.map
-                 (fun (name, img) ->
-                   Results.Obj
-                     [
-                       ("name", jstr name);
-                       ("image", jstr (hex_encode (Marshal.to_string img [])));
-                     ])
-                 images) );
-        ])
-
-let config_of_json j =
-  {
-    c_policy = policy_of_json (field "policy" j);
-    c_io_cost = io_cost_of_json (field "io_cost" j);
-    c_fuel = ifield "fuel" j;
-    c_threading = threading_of_json (field "threading" j);
-    c_trace = as_opt trace_options_of_json (field "trace" j);
-    (* absent means the observation channel is off — true of every
-       snapshot taken before it existed *)
-    c_hwtrace =
-      (match Results.member "hwtrace" j with
-      | Some v -> as_bool v
-      | None -> false);
-    (* absent in snapshots taken before the superblock compiler existed:
-       those ran with the interpreter-equivalent default *)
-    c_superblocks =
-      (match Results.member "superblocks" j with
-      | Some v -> as_bool v
-      | None -> true);
-    (* absent means the default backend, in old and new snapshots alike *)
-    c_backend =
-      (match Results.member "backend" j with
-      | Some v -> (
-          match Backend.of_string (as_string v) with
-          | Ok b -> b
-          | Error e -> bad "%s" e)
-      | None -> Backend.Nat);
-    c_images =
-      (match Results.member "images" j with
-      | None -> []
-      | Some v ->
-          as_list v
-          |> List.map (fun e ->
-                 let img : Image.t =
-                   try Marshal.from_string (hex_decode (sfield "image" e)) 0
-                   with Failure _ -> bad "corrupt embedded aux image"
-                 in
-                 (sfield "name" e, img)));
-  }
+let config =
+  let backend =
+    enum "backend" Backend.to_string (fun s ->
+        Result.to_option (Backend.of_string s))
+  and aux_image = obj2 ("name", string) ("image", marshalled "aux image") in
+  record
+    (fun c_policy c_io_cost c_fuel c_threading c_trace c_superblocks c_hwtrace
+         c_backend c_images ->
+      { c_policy; c_io_cost; c_fuel; c_threading; c_trace; c_hwtrace;
+        c_superblocks; c_backend; c_images })
+  |+ field "policy" policy (fun c -> c.c_policy)
+  |+ field "io_cost" io_cost (fun c -> c.c_io_cost)
+  |+ field "fuel" int (fun c -> c.c_fuel)
+  |+ field "threading" threading (fun c -> c.c_threading)
+  |+ field "trace" (option trace_options) (fun c -> c.c_trace)
+  |+ field "superblocks" bool (fun c -> c.c_superblocks)
+  |+ opt "hwtrace" bool ~default:false (fun c -> c.c_hwtrace)
+  |+ opt "backend" backend ~default:Backend.Nat (fun c -> c.c_backend)
+  |+ opt "images" (list aux_image) ~default:[] (fun c -> c.c_images)
+  |> seal
 
 (* ---- pages and world ---- *)
 
-let pages_to_json pages =
-  Results.List
-    (List.map
-       (fun (key, data) ->
-         Results.Obj [ ("key", j64 key); ("data", jstr (hex_encode data)) ])
-       pages)
+let pages = list (obj2 ("key", int64) ("data", hex))
 
-let pages_of_json j =
-  as_list j
-  |> List.map (fun p -> (i64field "key" p, hex_decode (sfield "data" p)))
-
-let fd_entry_to_json (e : World.fd_entry) =
-  Results.Obj
-    (match e with
-    | World.Fstream oid -> [ ("kind", jstr "stream"); ("oid", jint oid) ]
-    | World.Fpipe_r oid -> [ ("kind", jstr "pipe_r"); ("oid", jint oid) ]
-    | World.Fpipe_w oid -> [ ("kind", jstr "pipe_w"); ("oid", jint oid) ])
-
-let fd_entry_of_json j : World.fd_entry =
-  let oid = ifield "oid" j in
-  match sfield "kind" j with
-  | "stream" -> World.Fstream oid
-  | "pipe_r" -> World.Fpipe_r oid
-  | "pipe_w" -> World.Fpipe_w oid
-  | s -> bad "unknown fd entry kind %S" s
-
-let arg_value_to_json (a : World.arg_value) =
-  Results.Obj
+let fd_entry : World.fd_entry Codec.t =
+  let stream = case "stream" Args.[ ("oid", int) ]
+  and pipe_r = case "pipe_r" Args.[ ("oid", int) ]
+  and pipe_w = case "pipe_w" Args.[ ("oid", int) ] in
+  variant "kind"
     [
-      ("bytes", jstr (hex_encode a.World.a_bytes));
-      ("taints", jbits a.World.a_taints);
-      ("provs", jints a.World.a_provs);
+      (stream => fun Vals.[ oid ] -> World.Fstream oid);
+      (pipe_r => fun Vals.[ oid ] -> World.Fpipe_r oid);
+      (pipe_w => fun Vals.[ oid ] -> World.Fpipe_w oid);
     ]
+    (function
+      | World.Fstream oid -> put stream Vals.[ oid ]
+      | World.Fpipe_r oid -> put pipe_r Vals.[ oid ]
+      | World.Fpipe_w oid -> put pipe_w Vals.[ oid ])
 
-let arg_value_of_json j : World.arg_value =
-  {
-    World.a_bytes = hex_decode (sfield "bytes" j);
-    a_taints = as_bits (field "taints" j);
-    a_provs = as_ints (field "provs" j);
-  }
+let arg_value =
+  record (fun a_bytes a_taints a_provs -> { World.a_bytes; a_taints; a_provs })
+  |+ field "bytes" hex (fun a -> a.World.a_bytes)
+  |+ field "taints" bits (fun a -> a.World.a_taints)
+  |+ field "provs" (array int) (fun a -> a.World.a_provs)
+  |> seal
 
-let pipe_seg_to_json (s : Ospipe.seg_state) =
-  Results.Obj
+let pipe_seg =
+  record (fun sg_data sg_taints sg_provs sg_pid sg_comm sg_off ->
+      { Ospipe.sg_data; sg_taints; sg_provs; sg_pid; sg_comm; sg_off })
+  |+ field "data" hex (fun s -> s.Ospipe.sg_data)
+  |+ field "taints" bits (fun s -> s.Ospipe.sg_taints)
+  |+ field "provs" (array int) (fun s -> s.Ospipe.sg_provs)
+  |+ field "pid" int (fun s -> s.Ospipe.sg_pid)
+  |+ field "comm" string (fun s -> s.Ospipe.sg_comm)
+  |+ field "off" int (fun s -> s.Ospipe.sg_off)
+  |> seal
+
+let obj_state : World.obj_state Codec.t =
+  let stream =
+    case "stream"
+      Args.[ ("content", string); ("pos", int); ("tainted", bool);
+             ("path", option string) ]
+  and pipe =
+    case "pipe" Args.[ ("segs", list pipe_seg); ("readers", int); ("writers", int) ]
+  in
+  variant "kind"
     [
-      ("data", jstr (hex_encode s.Ospipe.sg_data));
-      ("taints", jbits s.Ospipe.sg_taints);
-      ("provs", jints s.Ospipe.sg_provs);
-      ("pid", jint s.Ospipe.sg_pid);
-      ("comm", jstr s.Ospipe.sg_comm);
-      ("off", jint s.Ospipe.sg_off);
+      (stream => fun Vals.[ fd_content; fd_pos; fd_tainted; fd_path ] ->
+       World.Os_stream { World.fd_content; fd_pos; fd_tainted; fd_path });
+      (pipe => fun Vals.[ st_segs; st_readers; st_writers ] ->
+       World.Os_pipe { Ospipe.st_segs; st_readers; st_writers });
     ]
+    (function
+      | World.Os_stream { World.fd_content; fd_pos; fd_tainted; fd_path } ->
+          put stream Vals.[ fd_content; fd_pos; fd_tainted; fd_path ]
+      | World.Os_pipe { Ospipe.st_segs; st_readers; st_writers } ->
+          put pipe Vals.[ st_segs; st_readers; st_writers ])
 
-let pipe_seg_of_json j : Ospipe.seg_state =
-  {
-    Ospipe.sg_data = hex_decode (sfield "data" j);
-    sg_taints = as_bits (field "taints" j);
-    sg_provs = as_ints (field "provs" j);
-    sg_pid = ifield "pid" j;
-    sg_comm = sfield "comm" j;
-    sg_off = ifield "off" j;
-  }
+let ctx =
+  let fd = obj2 ("fd", int) ("entry", fd_entry) in
+  record (fun cx_pid cx_comm cx_fds cx_next_fd cx_brk cx_crumbs cx_argv ->
+      { World.cx_pid; cx_comm; cx_fds; cx_next_fd; cx_brk; cx_crumbs; cx_argv })
+  |+ field "pid" int (fun c -> c.World.cx_pid)
+  |+ field "comm" string (fun c -> c.World.cx_comm)
+  |+ field "fds" (list fd) (fun c -> c.World.cx_fds)
+  |+ field "next_fd" int (fun c -> c.World.cx_next_fd)
+  |+ field "brk" int64 (fun c -> c.World.cx_brk)
+  |+ field "crumbs" (list string) (fun c -> c.World.cx_crumbs)
+  |+ field "argv" (list arg_value) (fun c -> c.World.cx_argv)
+  |> seal
 
-let obj_state_to_json (o : World.obj_state) =
-  Results.Obj
-    (match o with
-    | World.Os_stream s ->
-        [
-          ("kind", jstr "stream");
-          ("content", jstr s.World.fd_content);
-          ("pos", jint s.World.fd_pos);
-          ("tainted", jbool s.World.fd_tainted);
-          ("path", jopt jstr s.World.fd_path);
-        ]
-    | World.Os_pipe p ->
-        [
-          ("kind", jstr "pipe");
-          ("segs", Results.List (List.map pipe_seg_to_json p.Ospipe.st_segs));
-          ("readers", jint p.Ospipe.st_readers);
-          ("writers", jint p.Ospipe.st_writers);
-        ])
-
-let obj_state_of_json j : World.obj_state =
-  match sfield "kind" j with
-  | "stream" ->
-      World.Os_stream
-        {
-          World.fd_content = sfield "content" j;
-          fd_pos = ifield "pos" j;
-          fd_tainted = bfield "tainted" j;
-          fd_path = as_opt as_string (field "path" j);
-        }
-  | "pipe" ->
-      World.Os_pipe
-        {
-          Ospipe.st_segs = as_list (field "segs" j) |> List.map pipe_seg_of_json;
-          st_readers = ifield "readers" j;
-          st_writers = ifield "writers" j;
-        }
-  | s -> bad "unknown object kind %S" s
-
-let ctx_to_json (c : World.ctx_state) =
-  Results.Obj
-    [
-      ("pid", jint c.World.cx_pid);
-      ("comm", jstr c.World.cx_comm);
-      ( "fds",
-        Results.List
-          (List.map
-             (fun (fd, e) ->
-               Results.Obj [ ("fd", jint fd); ("entry", fd_entry_to_json e) ])
-             c.World.cx_fds) );
-      ("next_fd", jint c.World.cx_next_fd);
-      ("brk", j64 c.World.cx_brk);
-      ("crumbs", Results.List (List.map jstr c.World.cx_crumbs));
-      ("argv", Results.List (List.map arg_value_to_json c.World.cx_argv));
-    ]
-
-let ctx_of_json j : World.ctx_state =
-  {
-    World.cx_pid = ifield "pid" j;
-    cx_comm = sfield "comm" j;
-    cx_fds =
-      as_list (field "fds" j)
-      |> List.map (fun f -> (ifield "fd" f, fd_entry_of_json (field "entry" f)));
-    cx_next_fd = ifield "next_fd" j;
-    cx_brk = i64field "brk" j;
-    cx_crumbs = as_list (field "crumbs" j) |> List.map as_string;
-    cx_argv = as_list (field "argv" j) |> List.map arg_value_of_json;
-  }
-
-let world_to_json (d : World.dump) =
-  Results.Obj
-    [
-      ( "files",
-        Results.List
-          (List.map
-             (fun (path, content, tainted) ->
-               Results.Obj
-                 [
-                   ("path", jstr path);
-                   ("content", jstr content);
-                   ("tainted", jbool tainted);
-                 ])
-             d.World.d_files) );
-      ( "objs",
-        Results.List
-          (List.map
-             (fun (oid, refs, st) ->
-               Results.Obj
-                 [
-                   ("oid", jint oid);
-                   ("refs", jint refs);
-                   ("state", obj_state_to_json st);
-                 ])
-             d.World.d_objs) );
-      ("next_oid", jint d.World.d_next_oid);
-      ("ctx", ctx_to_json d.World.d_ctx);
-      ("pending", Results.List (List.map jstr d.World.d_pending));
-      ("output", jstr d.World.d_output);
-      ("html", jstr d.World.d_html);
-      ("sql", Results.List (List.map jstr d.World.d_sql));
-      ("commands", Results.List (List.map jstr d.World.d_commands));
-      ("alerts", Results.List (List.map alert_to_json d.World.d_alerts));
-    ]
-
-let world_of_json j : World.dump =
-  {
-    World.d_files =
-      as_list (field "files" j)
-      |> List.map (fun f ->
-             (sfield "path" f, sfield "content" f, bfield "tainted" f));
-    d_objs =
-      as_list (field "objs" j)
-      |> List.map (fun o ->
-             (ifield "oid" o, ifield "refs" o, obj_state_of_json (field "state" o)));
-    d_next_oid = ifield "next_oid" j;
-    d_ctx = ctx_of_json (field "ctx" j);
-    d_pending = as_list (field "pending" j) |> List.map as_string;
-    d_output = sfield "output" j;
-    d_html = sfield "html" j;
-    d_sql = as_list (field "sql" j) |> List.map as_string;
-    d_commands = as_list (field "commands" j) |> List.map as_string;
-    d_alerts = as_list (field "alerts" j) |> List.map alert_of_json;
-  }
+let world =
+  let file = obj3 ("path", string) ("content", string) ("tainted", bool)
+  and obj = obj3 ("oid", int) ("refs", int) ("state", obj_state) in
+  record
+    (fun d_files d_objs d_next_oid d_ctx d_pending d_output d_html d_sql
+         d_commands d_alerts ->
+      { World.d_files; d_objs; d_next_oid; d_ctx; d_pending; d_output; d_html;
+        d_sql; d_commands; d_alerts })
+  |+ field "files" (list file) (fun d -> d.World.d_files)
+  |+ field "objs" (list obj) (fun d -> d.World.d_objs)
+  |+ field "next_oid" int (fun d -> d.World.d_next_oid)
+  |+ field "ctx" ctx (fun d -> d.World.d_ctx)
+  |+ field "pending" (list string) (fun d -> d.World.d_pending)
+  |+ field "output" string (fun d -> d.World.d_output)
+  |+ field "html" string (fun d -> d.World.d_html)
+  |+ field "sql" (list string) (fun d -> d.World.d_sql)
+  |+ field "commands" (list string) (fun d -> d.World.d_commands)
+  |+ field "alerts" (list alert) (fun d -> d.World.d_alerts)
+  |> seal
 
 (* ---- machine state ---- *)
 
-let stats_to_json (s : Stats.t) =
-  Results.Obj
+let stats =
+  let arity = Array.length (Stats.create ()).Stats.slots_by_prov in
+  record
+    (fun instructions cycles loads stores branches predicated_off syscalls
+         io_cycles slots_by_prov ->
+      if Array.length slots_by_prov <> arity then
+        bad "issue-slot provenance arity mismatch";
+      { Stats.instructions; cycles; loads; stores; branches; predicated_off;
+        syscalls; io_cycles; slots_by_prov })
+  |+ field "instructions" int (fun s -> s.Stats.instructions)
+  |+ field "cycles" int (fun s -> s.Stats.cycles)
+  |+ field "loads" int (fun s -> s.Stats.loads)
+  |+ field "stores" int (fun s -> s.Stats.stores)
+  |+ field "branches" int (fun s -> s.Stats.branches)
+  |+ field "predicated_off" int (fun s -> s.Stats.predicated_off)
+  |+ field "syscalls" int (fun s -> s.Stats.syscalls)
+  |+ field "io_cycles" int (fun s -> s.Stats.io_cycles)
+  |+ field "slots_by_prov" (array int) (fun s -> s.Stats.slots_by_prov)
+  |> seal
+
+let pipe =
+  record (fun s_cycle s_slots_used s_mem_used s_reg_ready s_pred_ready ->
+      { Pipeline.s_cycle; s_slots_used; s_mem_used; s_reg_ready; s_pred_ready })
+  |+ field "cycle" int (fun p -> p.Pipeline.s_cycle)
+  |+ field "slots_used" int (fun p -> p.Pipeline.s_slots_used)
+  |+ field "mem_used" int (fun p -> p.Pipeline.s_mem_used)
+  |+ field "reg_ready" (array int) (fun p -> p.Pipeline.s_reg_ready)
+  |+ field "pred_ready" (array int) (fun p -> p.Pipeline.s_pred_ready)
+  |> seal
+
+let cache =
+  record (fun s_lines s_hits s_misses s_line_shift ->
+      { Cache.s_lines; s_hits; s_misses; s_line_shift })
+  |+ field "lines" (array int64) (fun c -> c.Cache.s_lines)
+  |+ field "hits" int (fun c -> c.Cache.s_hits)
+  |+ field "misses" int (fun c -> c.Cache.s_misses)
+  (* absent in images written before the geometry check: those were all
+     taken under the default 64-byte lines *)
+  |+ field "line_shift" int ~default:6 (fun c -> c.Cache.s_line_shift)
+  |> seal
+
+let hart =
+  let frame = pair "call-stack frame" int int64
+  and ftregs = obj2 ("id", array int) ("depth", array int) in
+  record
+    (fun h_values h_nats h_preds h_unat h_ip h_stats h_pipe h_cache h_call_stack
+         h_ftregs ->
+      { h_values; h_nats; h_preds; h_unat; h_ip; h_stats; h_pipe; h_cache;
+        h_call_stack; h_ftregs })
+  |+ field "values" (array int64) (fun h -> h.h_values)
+  |+ field "nats" bits (fun h -> h.h_nats)
+  |+ field "preds" bits (fun h -> h.h_preds)
+  |+ field "unat" int64 (fun h -> h.h_unat)
+  |+ field "ip" int (fun h -> h.h_ip)
+  |+ field "stats" stats (fun h -> h.h_stats)
+  |+ field "pipe" pipe (fun h -> h.h_pipe)
+  |+ field "cache" cache (fun h -> h.h_cache)
+  |+ field "call_stack" (list frame) (fun h -> h.h_call_stack)
+  |+ field "ftregs" (option ftregs) (fun h -> h.h_ftregs)
+  |> seal
+
+let proc_snap =
+  record (fun ps_pid ps_parent ps_image ps_state ps_hart ps_mem ps_prov ps_ctx ->
+      { ps_pid; ps_parent; ps_image; ps_state; ps_hart; ps_mem; ps_prov; ps_ctx })
+  |+ field "pid" int (fun p -> p.ps_pid)
+  |+ field "parent" int (fun p -> p.ps_parent)
+  |+ field "image" (option string) (fun p -> p.ps_image)
+  |+ field "state" proc_state (fun p -> p.ps_state)
+  |+ field "hart" hart (fun p -> p.ps_hart)
+  |+ field "memory" pages (fun p -> p.ps_mem)
+  |+ field "provenance_pages" pages (fun p -> p.ps_prov)
+  |+ field "ctx" ctx (fun p -> p.ps_ctx)
+  |> seal
+
+let machine =
+  let smp_hart = obj3 ("id", int) ("state", hart_state) ("hart", hart)
+  and round = list (pair "round entry" int int) in
+  let cpu = case "cpu" Args.[ ("hart", hart) ]
+  and finished = option cpu_outcome in
+  let smp =
+    case "smp"
+      Args.[ ("quantum", int); ("harts", list smp_hart); ("round", round);
+             ("finished", finished) ]
+  and procs =
+    case "procs"
+      Args.[ ("quantum", int); ("next_pid", int); ("procs", list proc_snap);
+             ("round", round); ("finished", finished); ("retired", stats) ]
+  in
+  variant "shape"
     [
-      ("instructions", jint s.Stats.instructions);
-      ("cycles", jint s.Stats.cycles);
-      ("loads", jint s.Stats.loads);
-      ("stores", jint s.Stats.stores);
-      ("branches", jint s.Stats.branches);
-      ("predicated_off", jint s.Stats.predicated_off);
-      ("syscalls", jint s.Stats.syscalls);
-      ("io_cycles", jint s.Stats.io_cycles);
-      ("slots_by_prov", jints s.Stats.slots_by_prov);
+      (cpu => fun Vals.[ h ] -> M_cpu h);
+      (smp => fun Vals.[ sm_quantum; sm_harts; sm_round; sm_finished ] ->
+       M_smp { sm_quantum; sm_harts; sm_round; sm_finished });
+      (procs => fun Vals.[ q; n; ps; r; f; s ] ->
+       M_procs
+         { pm_quantum = q; pm_next_pid = n; pm_procs = ps; pm_round = r;
+           pm_finished = f; pm_retired = s });
     ]
-
-let stats_of_json j : Stats.t =
-  let s = Stats.create () in
-  s.Stats.instructions <- ifield "instructions" j;
-  s.Stats.cycles <- ifield "cycles" j;
-  s.Stats.loads <- ifield "loads" j;
-  s.Stats.stores <- ifield "stores" j;
-  s.Stats.branches <- ifield "branches" j;
-  s.Stats.predicated_off <- ifield "predicated_off" j;
-  s.Stats.syscalls <- ifield "syscalls" j;
-  s.Stats.io_cycles <- ifield "io_cycles" j;
-  let slots = as_ints (field "slots_by_prov" j) in
-  if Array.length slots <> Array.length s.Stats.slots_by_prov then
-    bad "issue-slot provenance arity mismatch";
-  Array.blit slots 0 s.Stats.slots_by_prov 0 (Array.length slots);
-  s
-
-let pipe_to_json (p : Pipeline.snap) =
-  Results.Obj
-    [
-      ("cycle", jint p.Pipeline.s_cycle);
-      ("slots_used", jint p.Pipeline.s_slots_used);
-      ("mem_used", jint p.Pipeline.s_mem_used);
-      ("reg_ready", jints p.Pipeline.s_reg_ready);
-      ("pred_ready", jints p.Pipeline.s_pred_ready);
-    ]
-
-let pipe_of_json j : Pipeline.snap =
-  {
-    Pipeline.s_cycle = ifield "cycle" j;
-    s_slots_used = ifield "slots_used" j;
-    s_mem_used = ifield "mem_used" j;
-    s_reg_ready = as_ints (field "reg_ready" j);
-    s_pred_ready = as_ints (field "pred_ready" j);
-  }
-
-let cache_to_json (c : Cache.snap) =
-  Results.Obj
-    [
-      ("lines", ji64s c.Cache.s_lines);
-      ("hits", jint c.Cache.s_hits);
-      ("misses", jint c.Cache.s_misses);
-      ("line_shift", jint c.Cache.s_line_shift);
-    ]
-
-let cache_of_json j : Cache.snap =
-  {
-    Cache.s_lines = as_i64s (field "lines" j);
-    s_hits = ifield "hits" j;
-    s_misses = ifield "misses" j;
-    (* absent in images written before the geometry check: those were
-       all taken under the default 64-byte lines *)
-    s_line_shift =
-      (match Results.member "line_shift" j with
-      | Some (Results.Int n) -> n
-      | _ -> 6);
-  }
-
-let hart_to_json h =
-  Results.Obj
-    [
-      ("values", ji64s h.h_values);
-      ("nats", jbits h.h_nats);
-      ("preds", jbits h.h_preds);
-      ("unat", j64 h.h_unat);
-      ("ip", jint h.h_ip);
-      ("stats", stats_to_json h.h_stats);
-      ("pipe", pipe_to_json h.h_pipe);
-      ("cache", cache_to_json h.h_cache);
-      ( "call_stack",
-        Results.List
-          (List.map
-             (fun (ret, sp) -> Results.List [ jint ret; j64 sp ])
-             h.h_call_stack) );
-      ( "ftregs",
-        jopt
-          (fun (ids, depths) ->
-            Results.Obj [ ("id", jints ids); ("depth", jints depths) ])
-          h.h_ftregs );
-    ]
-
-let hart_of_json j =
-  {
-    h_values = as_i64s (field "values" j);
-    h_nats = as_bits (field "nats" j);
-    h_preds = as_bits (field "preds" j);
-    h_unat = i64field "unat" j;
-    h_ip = ifield "ip" j;
-    h_stats = stats_of_json (field "stats" j);
-    h_pipe = pipe_of_json (field "pipe" j);
-    h_cache = cache_of_json (field "cache" j);
-    h_call_stack =
-      as_list (field "call_stack" j)
-      |> List.map (function
-           | Results.List [ ret; sp ] -> (as_int ret, as_i64 sp)
-           | _ -> bad "malformed call-stack frame");
-    h_ftregs =
-      as_opt
-        (fun o -> (as_ints (field "id" o), as_ints (field "depth" o)))
-        (field "ftregs" j);
-  }
-
-let machine_to_json = function
-  | M_cpu h -> Results.Obj [ ("shape", jstr "cpu"); ("hart", hart_to_json h) ]
-  | M_smp { sm_quantum; sm_harts; sm_round; sm_finished } ->
-      Results.Obj
-        [
-          ("shape", jstr "smp");
-          ("quantum", jint sm_quantum);
-          ( "harts",
-            Results.List
-              (List.map
-                 (fun (id, state, h) ->
-                   Results.Obj
-                     [
-                       ("id", jint id);
-                       ("state", hart_state_to_json state);
-                       ("hart", hart_to_json h);
-                     ])
-                 sm_harts) );
-          ( "round",
-            Results.List
-              (List.map
-                 (fun (id, rem) -> Results.List [ jint id; jint rem ])
-                 sm_round) );
-          ("finished", jopt cpu_outcome_to_json sm_finished);
-        ]
-  | M_procs { pm_quantum; pm_next_pid; pm_procs; pm_round; pm_finished; pm_retired }
-    ->
-      Results.Obj
-        [
-          ("shape", jstr "procs");
-          ("quantum", jint pm_quantum);
-          ("next_pid", jint pm_next_pid);
-          ( "procs",
-            Results.List
-              (List.map
-                 (fun p ->
-                   Results.Obj
-                     [
-                       ("pid", jint p.ps_pid);
-                       ("parent", jint p.ps_parent);
-                       ("image", jopt jstr p.ps_image);
-                       ("state", proc_state_to_json p.ps_state);
-                       ("hart", hart_to_json p.ps_hart);
-                       ("memory", pages_to_json p.ps_mem);
-                       ("provenance_pages", pages_to_json p.ps_prov);
-                       ("ctx", ctx_to_json p.ps_ctx);
-                     ])
-                 pm_procs) );
-          ( "round",
-            Results.List
-              (List.map
-                 (fun (pid, rem) -> Results.List [ jint pid; jint rem ])
-                 pm_round) );
-          ("finished", jopt cpu_outcome_to_json pm_finished);
-          ("retired", stats_to_json pm_retired);
-        ]
-
-let machine_of_json j =
-  match sfield "shape" j with
-  | "cpu" -> M_cpu (hart_of_json (field "hart" j))
-  | "smp" ->
-      M_smp
-        {
-          sm_quantum = ifield "quantum" j;
-          sm_harts =
-            as_list (field "harts" j)
-            |> List.map (fun h ->
-                   ( ifield "id" h,
-                     hart_state_of_json (field "state" h),
-                     hart_of_json (field "hart" h) ));
-          sm_round =
-            as_list (field "round" j)
-            |> List.map (function
-                 | Results.List [ id; rem ] -> (as_int id, as_int rem)
-                 | _ -> bad "malformed round entry");
-          sm_finished = as_opt cpu_outcome_of_json (field "finished" j);
-        }
-  | "procs" ->
-      M_procs
-        {
-          pm_quantum = ifield "quantum" j;
-          pm_next_pid = ifield "next_pid" j;
-          pm_procs =
-            as_list (field "procs" j)
-            |> List.map (fun p ->
-                   {
-                     ps_pid = ifield "pid" p;
-                     ps_parent = ifield "parent" p;
-                     ps_image = as_opt as_string (field "image" p);
-                     ps_state = proc_state_of_json (field "state" p);
-                     ps_hart = hart_of_json (field "hart" p);
-                     ps_mem = pages_of_json (field "memory" p);
-                     ps_prov = pages_of_json (field "provenance_pages" p);
-                     ps_ctx = ctx_of_json (field "ctx" p);
-                   });
-          pm_round =
-            as_list (field "round" j)
-            |> List.map (function
-                 | Results.List [ pid; rem ] -> (as_int pid, as_int rem)
-                 | _ -> bad "malformed round entry");
-          pm_finished = as_opt cpu_outcome_of_json (field "finished" j);
-          pm_retired = stats_of_json (field "retired" j);
-        }
-  | s -> bad "unknown machine shape %S" s
+    (function
+      | M_cpu h -> put cpu Vals.[ h ]
+      | M_smp { sm_quantum; sm_harts; sm_round; sm_finished } ->
+          put smp Vals.[ sm_quantum; sm_harts; sm_round; sm_finished ]
+      | M_procs
+          { pm_quantum = q; pm_next_pid = n; pm_procs = ps; pm_round = r;
+            pm_finished = f; pm_retired = s } ->
+          put procs Vals.[ q; n; ps; r; f; s ])
 
 (* ---- flow ---- *)
 
-let source_to_json (s : Flowtrace.source) =
-  Results.Obj
+let source =
+  record (fun sid channel origin offset len ->
+      { Flowtrace.sid; channel; origin; offset; len })
+  |+ field "sid" int (fun s -> s.Flowtrace.sid)
+  |+ field "channel" string (fun s -> s.Flowtrace.channel)
+  |+ field "origin" string (fun s -> s.Flowtrace.origin)
+  |+ field "offset" int (fun s -> s.Flowtrace.offset)
+  |+ field "len" int (fun s -> s.Flowtrace.len)
+  |> seal
+
+let detail : Flowtrace.detail Codec.t =
+  let open Flowtrace in
+  let birth = case "birth" Args.[ ("src", source); ("addr", int64) ]
+  and load = case "load" Args.[ ("reg", int); ("addr", int64); ("id", int) ]
+  and prop =
+    case "prop" Args.[ ("dst", int); ("src", int); ("id", int); ("depth", int) ]
+  and store =
+    case "store" Args.[ ("reg", int); ("addr", int64); ("len", int); ("id", int) ]
+  and purge = case "purge" Args.[ ("reg", int) ]
+  and check = case "check" Args.[ ("reg", int); ("tainted", bool) ]
+  and sink = case "sink" Args.[ ("policy", string); ("detail", string) ] in
+  variant "t"
     [
-      ("sid", jint s.Flowtrace.sid);
-      ("channel", jstr s.Flowtrace.channel);
-      ("origin", jstr s.Flowtrace.origin);
-      ("offset", jint s.Flowtrace.offset);
-      ("len", jint s.Flowtrace.len);
+      (birth => fun Vals.[ src; addr ] -> Ev_birth { src; addr });
+      (load => fun Vals.[ reg; addr; id ] -> Ev_load { reg; addr; id });
+      (prop => fun Vals.[ dst; src; id; depth ] -> Ev_prop { dst; src; id; depth });
+      (store => fun Vals.[ reg; addr; len; id ] -> Ev_store { reg; addr; len; id });
+      (purge => fun Vals.[ reg ] -> Ev_purge { reg });
+      (check => fun Vals.[ reg; tainted ] -> Ev_check { reg; tainted });
+      (sink => fun Vals.[ policy; detail ] -> Ev_sink { policy; detail });
     ]
+    (function
+      | Ev_birth { src; addr } -> put birth Vals.[ src; addr ]
+      | Ev_load { reg; addr; id } -> put load Vals.[ reg; addr; id ]
+      | Ev_prop { dst; src; id; depth } -> put prop Vals.[ dst; src; id; depth ]
+      | Ev_store { reg; addr; len; id } -> put store Vals.[ reg; addr; len; id ]
+      | Ev_purge { reg } -> put purge Vals.[ reg ]
+      | Ev_check { reg; tainted } -> put check Vals.[ reg; tainted ]
+      | Ev_sink { policy; detail } -> put sink Vals.[ policy; detail ])
 
-let source_of_json j : Flowtrace.source =
-  {
-    Flowtrace.sid = ifield "sid" j;
-    channel = sfield "channel" j;
-    origin = sfield "origin" j;
-    offset = ifield "offset" j;
-    len = ifield "len" j;
-  }
+let event =
+  record (fun seq ip ev -> { Flowtrace.seq; ip; ev })
+  |+ field "seq" int (fun e -> e.Flowtrace.seq)
+  |+ field "ip" int (fun e -> e.Flowtrace.ip)
+  |+ field "ev" detail (fun e -> e.Flowtrace.ev)
+  |> seal
 
-let detail_to_json (d : Flowtrace.detail) =
-  Results.Obj
-    (match d with
-    | Flowtrace.Ev_birth { src; addr } ->
-        [ ("t", jstr "birth"); ("src", source_to_json src); ("addr", j64 addr) ]
-    | Flowtrace.Ev_load { reg; addr; id } ->
-        [ ("t", jstr "load"); ("reg", jint reg); ("addr", j64 addr); ("id", jint id) ]
-    | Flowtrace.Ev_prop { dst; src; id; depth } ->
-        [
-          ("t", jstr "prop");
-          ("dst", jint dst);
-          ("src", jint src);
-          ("id", jint id);
-          ("depth", jint depth);
-        ]
-    | Flowtrace.Ev_store { reg; addr; len; id } ->
-        [
-          ("t", jstr "store");
-          ("reg", jint reg);
-          ("addr", j64 addr);
-          ("len", jint len);
-          ("id", jint id);
-        ]
-    | Flowtrace.Ev_purge { reg } -> [ ("t", jstr "purge"); ("reg", jint reg) ]
-    | Flowtrace.Ev_check { reg; tainted } ->
-        [ ("t", jstr "check"); ("reg", jint reg); ("tainted", jbool tainted) ]
-    | Flowtrace.Ev_sink { policy; detail } ->
-        [ ("t", jstr "sink"); ("policy", jstr policy); ("detail", jstr detail) ])
-
-let detail_of_json j : Flowtrace.detail =
-  match sfield "t" j with
-  | "birth" ->
-      Flowtrace.Ev_birth
-        { src = source_of_json (field "src" j); addr = i64field "addr" j }
-  | "load" ->
-      Flowtrace.Ev_load
-        { reg = ifield "reg" j; addr = i64field "addr" j; id = ifield "id" j }
-  | "prop" ->
-      Flowtrace.Ev_prop
-        {
-          dst = ifield "dst" j;
-          src = ifield "src" j;
-          id = ifield "id" j;
-          depth = ifield "depth" j;
-        }
-  | "store" ->
-      Flowtrace.Ev_store
-        {
-          reg = ifield "reg" j;
-          addr = i64field "addr" j;
-          len = ifield "len" j;
-          id = ifield "id" j;
-        }
-  | "purge" -> Flowtrace.Ev_purge { reg = ifield "reg" j }
-  | "check" ->
-      Flowtrace.Ev_check { reg = ifield "reg" j; tainted = bfield "tainted" j }
-  | "sink" ->
-      Flowtrace.Ev_sink
-        { policy = sfield "policy" j; detail = sfield "detail" j }
-  | s -> bad "unknown event type %S" s
-
-let event_to_json (e : Flowtrace.event) =
-  Results.Obj
-    [
-      ("seq", jint e.Flowtrace.seq);
-      ("ip", jint e.Flowtrace.ip);
-      ("ev", detail_to_json e.Flowtrace.ev);
-    ]
-
-let event_of_json j : Flowtrace.event =
-  {
-    Flowtrace.seq = ifield "seq" j;
-    ip = ifield "ip" j;
-    ev = detail_of_json (field "ev" j);
-  }
-
-let flow_to_json (d : Flowtrace.dump) pages =
-  Results.Obj
-    [
-      ("enabled", jbool d.Flowtrace.d_enabled);
-      ("capacity", jint d.Flowtrace.d_capacity);
-      ("keep", jbits d.Flowtrace.d_keep);
-      ("count", jint d.Flowtrace.d_count);
-      ("window", Results.List (List.map event_to_json d.Flowtrace.d_window));
-      ("sources", Results.List (List.map source_to_json d.Flowtrace.d_sources));
-      ("next_id", jint d.Flowtrace.d_next_id);
-      ( "spec",
-        Results.List
-          (List.map
-             (fun (ip, sid) -> Results.List [ jint ip; jint sid ])
-             d.Flowtrace.d_spec) );
-      ("births", jint d.Flowtrace.d_births);
-      ("propagations", jint d.Flowtrace.d_propagations);
-      ("purges", jint d.Flowtrace.d_purges);
-      ("checks", jint d.Flowtrace.d_checks);
-      ("sink_hits", jint d.Flowtrace.d_sink_hits);
-      ("max_depth", jint d.Flowtrace.d_max_depth);
-      ("provenance_pages", pages_to_json pages);
-    ]
-
-let flow_of_json j =
-  let d =
-    {
-      Flowtrace.d_enabled = bfield "enabled" j;
-      d_capacity = ifield "capacity" j;
-      d_keep = as_bits (field "keep" j);
-      d_count = ifield "count" j;
-      d_window = as_list (field "window" j) |> List.map event_of_json;
-      d_sources = as_list (field "sources" j) |> List.map source_of_json;
-      d_next_id = ifield "next_id" j;
-      d_spec =
-        as_list (field "spec" j)
-        |> List.map (function
-             | Results.List [ ip; sid ] -> (as_int ip, as_int sid)
-             | _ -> bad "malformed spec-source entry");
-      d_births = ifield "births" j;
-      d_propagations = ifield "propagations" j;
-      d_purges = ifield "purges" j;
-      d_checks = ifield "checks" j;
-      d_sink_hits = ifield "sink_hits" j;
-      d_max_depth = ifield "max_depth" j;
-    }
-  in
-  (d, pages_of_json (field "provenance_pages" j))
+(* the flow dump and the provenance shadow pages share one object *)
+let flow =
+  let spec = pair "spec-source entry" int int in
+  record
+    (fun d_enabled d_capacity d_keep d_count d_window d_sources d_next_id d_spec
+         d_births d_propagations d_purges d_checks d_sink_hits d_max_depth pages ->
+      ( { Flowtrace.d_enabled; d_capacity; d_keep; d_count; d_window; d_sources;
+          d_next_id; d_spec; d_births; d_propagations; d_purges; d_checks;
+          d_sink_hits; d_max_depth },
+        pages ))
+  |+ field "enabled" bool (fun (d, _) -> d.Flowtrace.d_enabled)
+  |+ field "capacity" int (fun (d, _) -> d.Flowtrace.d_capacity)
+  |+ field "keep" bits (fun (d, _) -> d.Flowtrace.d_keep)
+  |+ field "count" int (fun (d, _) -> d.Flowtrace.d_count)
+  |+ field "window" (list event) (fun (d, _) -> d.Flowtrace.d_window)
+  |+ field "sources" (list source) (fun (d, _) -> d.Flowtrace.d_sources)
+  |+ field "next_id" int (fun (d, _) -> d.Flowtrace.d_next_id)
+  |+ field "spec" (list spec) (fun (d, _) -> d.Flowtrace.d_spec)
+  |+ field "births" int (fun (d, _) -> d.Flowtrace.d_births)
+  |+ field "propagations" int (fun (d, _) -> d.Flowtrace.d_propagations)
+  |+ field "purges" int (fun (d, _) -> d.Flowtrace.d_purges)
+  |+ field "checks" int (fun (d, _) -> d.Flowtrace.d_checks)
+  |+ field "sink_hits" int (fun (d, _) -> d.Flowtrace.d_sink_hits)
+  |+ field "max_depth" int (fun (d, _) -> d.Flowtrace.d_max_depth)
+  |+ field "provenance_pages" pages snd
+  |> seal
 
 (* ---- tag-coprocessor state ---- *)
 
-let tracking_record_to_json (r : Tracking.record) =
-  Results.Obj
-    (match r with
-    | Tracking.Set { dst; tainted } ->
-        [ ("op", jstr "set"); ("dst", jint dst); ("tainted", jbool tainted) ]
-    | Tracking.Move { dst; src } ->
-        [ ("op", jstr "move"); ("dst", jint dst); ("src", jint src) ]
-    | Tracking.Union { dst; s1; s2 } ->
-        [ ("op", jstr "union"); ("dst", jint dst); ("s1", jint s1); ("s2", jint s2) ]
-    | Tracking.Load { dst; addr; len } ->
-        [ ("op", jstr "load"); ("dst", jint dst); ("addr", j64 addr); ("len", jint len) ]
-    | Tracking.Store { addr; len; src } ->
-        [ ("op", jstr "store"); ("addr", j64 addr); ("len", jint len); ("src", jint src) ]
-    | Tracking.Check { what; reg } ->
-        [
-          ("op", jstr "check");
-          ("what", jstr (Tracking.check_to_string what));
-          ("reg", jint reg);
-        ])
-
-let tracking_record_of_json j : Tracking.record =
-  match sfield "op" j with
-  | "set" -> Tracking.Set { dst = ifield "dst" j; tainted = as_bool (field "tainted" j) }
-  | "move" -> Tracking.Move { dst = ifield "dst" j; src = ifield "src" j }
-  | "union" ->
-      Tracking.Union { dst = ifield "dst" j; s1 = ifield "s1" j; s2 = ifield "s2" j }
-  | "load" ->
-      Tracking.Load
-        { dst = ifield "dst" j; addr = as_i64 (field "addr" j); len = ifield "len" j }
-  | "store" ->
-      Tracking.Store
-        { addr = as_i64 (field "addr" j); len = ifield "len" j; src = ifield "src" j }
-  | "check" -> (
-      match Tracking.check_of_string (sfield "what" j) with
-      | Some what -> Tracking.Check { what; reg = ifield "reg" j }
-      | None -> bad "unknown check kind %S" (sfield "what" j))
-  | op -> bad "unknown tag record %S" op
-
-let tracking_to_json (d : Tracking.dump) =
-  Results.Obj
+let tracking_record : Tracking.record Codec.t =
+  let open Tracking in
+  let what = enum "check kind" check_to_string check_of_string in
+  let set = case "set" Args.[ ("dst", int); ("tainted", bool) ]
+  and move = case "move" Args.[ ("dst", int); ("src", int) ]
+  and union = case "union" Args.[ ("dst", int); ("s1", int); ("s2", int) ]
+  and load = case "load" Args.[ ("dst", int); ("addr", int64); ("len", int) ]
+  and store = case "store" Args.[ ("addr", int64); ("len", int); ("src", int) ]
+  and check = case "check" Args.[ ("what", what); ("reg", int) ] in
+  variant "op"
     [
-      ("regs", jbits d.Tracking.d_regs);
-      ( "queue",
-        Results.List
-          (List.map
-             (fun (r, at) ->
-               Results.Obj
-                 [ ("record", tracking_record_to_json r); ("at", jint at) ])
-             d.Tracking.d_queue) );
-      ("retired", jint d.Tracking.d_retired);
-      ("pending_stall", jint d.Tracking.d_pending_stall);
+      (set => fun Vals.[ dst; tainted ] -> Set { dst; tainted });
+      (move => fun Vals.[ dst; src ] -> Move { dst; src });
+      (union => fun Vals.[ dst; s1; s2 ] -> Union { dst; s1; s2 });
+      (load => fun Vals.[ dst; addr; len ] -> Load { dst; addr; len });
+      (store => fun Vals.[ addr; len; src ] -> Store { addr; len; src });
+      (check => fun Vals.[ what; reg ] -> Check { what; reg });
     ]
+    (function
+      | Set { dst; tainted } -> put set Vals.[ dst; tainted ]
+      | Move { dst; src } -> put move Vals.[ dst; src ]
+      | Union { dst; s1; s2 } -> put union Vals.[ dst; s1; s2 ]
+      | Load { dst; addr; len } -> put load Vals.[ dst; addr; len ]
+      | Store { addr; len; src } -> put store Vals.[ addr; len; src ]
+      | Check { what; reg } -> put check Vals.[ what; reg ])
 
-let tracking_of_json j : Tracking.dump =
-  {
-    Tracking.d_regs = as_bits (field "regs" j);
-    d_queue =
-      List.map
-        (fun e -> (tracking_record_of_json (field "record" e), ifield "at" e))
-        (as_list (field "queue" j));
-    d_retired = ifield "retired" j;
-    d_pending_stall = ifield "pending_stall" j;
-  }
+let tracking =
+  let queued = obj2 ("record", tracking_record) ("at", int) in
+  record (fun d_regs d_queue d_retired d_pending_stall ->
+      { Tracking.d_regs; d_queue; d_retired; d_pending_stall })
+  |+ field "regs" bits (fun d -> d.Tracking.d_regs)
+  |+ field "queue" (list queued) (fun d -> d.Tracking.d_queue)
+  |+ field "retired" int (fun d -> d.Tracking.d_retired)
+  |+ field "pending_stall" int (fun d -> d.Tracking.d_pending_stall)
+  |> seal
 
 (* ---- the envelope ---- *)
 
-let to_json t =
-  Results.Obj
-    ([
-       ("snapshot_version", jint version);
-       ("kind", jstr "shift-snapshot");
-       ("meta", Results.Obj (List.map (fun (k, v) -> (k, jstr v)) t.meta));
-       ("config", config_to_json t.config);
-       ("fuel_left", jint t.fuel_left);
-       ("result", jopt outcome_to_json t.result);
-       ("image", jstr (hex_encode (Marshal.to_string t.image [])));
-       ("memory", pages_to_json t.memory);
-       ("machine", machine_to_json t.machine);
-       ("world", world_to_json t.world);
-       ("flow", jopt (fun (d, pages) -> flow_to_json d pages) t.flow);
-     ]
-    (* appended only for the coproc backend: nat snapshots keep the
-       exact envelope of earlier versions *)
-    @
-    match t.tracking with
-    | None -> []
-    | Some d -> [ ("tracking", tracking_to_json d) ])
+(* the version and kind fields carry no data: they are written as
+   constants, and decoding rejects any other value *)
+let snapshot =
+  let stamp =
+    conv
+      (fun () -> version)
+      (fun v ->
+        if v <> version then
+          bad "unsupported snapshot version %d (expected %d)" v version)
+      int
+  and kind = enum_cases "snapshot kind" [ ("shift-snapshot", ()) ] in
+  record
+    (fun () () meta config fuel_left result image memory machine world flow
+         tracking ->
+      { meta; image; config; fuel_left; result; memory; machine; world; flow;
+        tracking })
+  |+ field "snapshot_version" stamp ignore
+  |+ field "kind" kind ignore
+  |+ field "meta" (assoc string) (fun t -> t.meta)
+  |+ field "config" config (fun t -> t.config)
+  |+ field "fuel_left" int (fun t -> t.fuel_left)
+  |+ field "result" (option outcome) (fun t -> t.result)
+  |+ field "image" (marshalled "image") (fun t -> t.image)
+  |+ field "memory" pages (fun t -> t.memory)
+  |+ field "machine" machine (fun t -> t.machine)
+  |+ field "world" world (fun t -> t.world)
+  |+ field "flow" (option flow) (fun t -> t.flow)
+  |+ opt "tracking" (option tracking) ~default:None (fun t -> t.tracking)
+  |> seal
 
+let to_json t = snapshot.enc t
+
+(* a file that is not a snapshot at all is told so before anything else *)
 let of_json j =
-  try
-    (match Results.member "kind" j with
-    | Some (Results.String "shift-snapshot") -> ()
-    | _ -> bad "not a shift snapshot");
-    let v = ifield "snapshot_version" j in
-    if v <> version then bad "unsupported snapshot version %d (expected %d)" v version;
-    let meta =
-      match field "meta" j with
-      | Results.Obj fields -> List.map (fun (k, v) -> (k, as_string v)) fields
-      | _ -> bad "malformed meta"
-    in
-    let image : Image.t =
-      try Marshal.from_string (hex_decode (sfield "image" j)) 0
-      with Failure _ -> bad "corrupt embedded image"
-    in
-    Ok
-      {
-        meta;
-        image;
-        config = config_of_json (field "config" j);
-        fuel_left = ifield "fuel_left" j;
-        result = as_opt outcome_of_json (field "result" j);
-        memory = pages_of_json (field "memory" j);
-        machine = machine_of_json (field "machine" j);
-        world = world_of_json (field "world" j);
-        flow = as_opt flow_of_json (field "flow" j);
-        tracking =
-          (match Results.member "tracking" j with
-          | Some v -> Some (tracking_of_json v)
-          | None -> None);
-      }
-  with Bad msg -> Error msg
+  match Results.member "kind" j with
+  | Some (Results.String "shift-snapshot") -> (
+      try Ok (snapshot.dec j) with Bad msg -> Error msg)
+  | _ -> Error "not a shift snapshot"
 
 let save path t =
   let tmp = path ^ ".tmp" in

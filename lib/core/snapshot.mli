@@ -17,6 +17,13 @@
 
     The on-disk format is versioned JSON ({!Results.json}); binary
     payloads (memory pages, the marshalled image) are hex-encoded.
+    Each component is declared once, as a bidirectional codec from
+    which both the encoder and the decoder are derived: records write
+    their fields in declaration order, variants write their tag first
+    and their payload fields inline.  The omission rule: a field added
+    after the format was in use is left out while it holds its default
+    value, and an absent field decodes to that default, so snapshots of
+    sessions that do not use a feature keep their earlier bytes.
     [Session.checkpoint] produces snapshots and [Session.restore]
     rebuilds live sessions from them; this module owns the data model
     and the serialisation. *)
@@ -197,6 +204,9 @@ val to_json : t -> Results.json
     hashtable-backed state is sorted before emission. *)
 
 val of_json : Results.json -> (t, string) result
+(** Never raises on malformed input: wrong kinds or versions, missing
+    or ill-typed fields, unknown tags and truncated or unreadable embedded images all
+    come back as [Error], with the message naming the field path. *)
 
 val save : string -> t -> unit
 (** Write [to_json] (pretty-printed) to a file, atomically (write to a

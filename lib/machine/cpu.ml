@@ -14,7 +14,6 @@ type t = {
   pipe : Pipeline.t;
   cache : Cache.t;
   mutable syscall_handler : (t -> unit) option;
-  mutable trace : (t -> int -> Instr.t -> unit) option;
   mutable flowtrace : Flowtrace.t;
   ftregs : Flowtrace.regs;
   mutable hwtrace : Hwtrace.t;
@@ -75,7 +74,6 @@ let create ?(entry = "_start") ?mem program =
     pipe = Pipeline.create ();
     cache = Cache.create ();
     syscall_handler = None;
-    trace = None;
     flowtrace = Flowtrace.disabled ();
     ftregs = Flowtrace.fresh_regs ();
     hwtrace = Hwtrace.disabled ();
@@ -441,7 +439,6 @@ let step t =
   else begin
     let start_ip = t.ip in
     let d = Array.unsafe_get t.decoded t.ip in
-    (match t.trace with Some f -> f t t.ip t.program.code.(t.ip) | None -> ());
     let executing = t.preds.(d.Decode.qp) in
     t.stats.instructions <- t.stats.instructions + 1;
     t.stats.slots_by_prov.(d.Decode.prov_index) <-

@@ -29,13 +29,6 @@ type t = {
   pipe : Pipeline.t;
   cache : Cache.t;
   mutable syscall_handler : (t -> unit) option;
-  mutable trace : (t -> int -> Shift_isa.Instr.t -> unit) option;
-      (** Raw per-instruction callback, fired before every instruction
-          (including predicated-off ones).  Kept for back-compat and
-          ad-hoc debugging; for structured taint-flow observation prefer
-          {!Flowtrace} via the {!field-flowtrace} field — it survives
-          suspension, costs one branch when disabled, and produces
-          machine-readable events. *)
   mutable flowtrace : Flowtrace.t;
       (** Taint-provenance trace; {!Flowtrace.disabled} by default. *)
   ftregs : Flowtrace.regs;  (** this hart's register provenance shadow *)

@@ -61,11 +61,8 @@ let stats (t : Cpu.t) = t.Cpu.sb.Cpu.sb_stats
 
 let ft_enabled (t : Cpu.t) = t.Cpu.flowtrace.Flowtrace.enabled
 
-(* The raw trace hook must fire before every instruction, so any machine
-   with one runs on the interpreter. *)
 let usable (t : Cpu.t) =
   t.Cpu.sb.Cpu.sb_on
-  && (match t.Cpu.trace with None -> true | Some _ -> false)
   (* compiled blocks bypass the per-instruction hook, so a decoupled
      tracking backend forces interpretation *)
   && not (Shift_tracking.Tracking.per_instr t.Cpu.tracking)

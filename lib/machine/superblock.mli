@@ -22,10 +22,7 @@
     restored machine starts cold, and guest stores into the watched
     code region (region 2) invalidate every block covering a written
     instruction slot.  Blocks are additionally specialised for the
-    current [flowtrace.enabled] flag and recompiled when it flips.
-
-    Machines with a raw trace hook installed ([Cpu.trace]) always run on
-    the interpreter — the hook must fire before every instruction. *)
+    current [flowtrace.enabled] flag and recompiled when it flips. *)
 
 val hot_threshold : int
 (** Times an entry pc must be dispatched before its block is compiled. *)
@@ -43,7 +40,8 @@ val code_addr : int -> int64
 
 val usable : Cpu.t -> bool
 (** Whether the compiled fast path may run on this machine:
-    superblocks enabled and no raw trace hook installed. *)
+    superblocks enabled and no per-instruction tracking hook (the
+    decoupled coprocessor backend mirrors every retired instruction). *)
 
 val stats : Cpu.t -> Stats.superblocks
 (** The machine's host-side superblock counters (never part of
