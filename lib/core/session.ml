@@ -173,16 +173,19 @@ let procs_engine procs =
 (* fresh CPUs for images the guest execs by name *)
 let image_loader images ~comm = Option.map load (List.assoc_opt comm images)
 
+(* the session's tracking handle, bound to the memory whose bitmap a
+   tag coprocessor maintains *)
+let create_tracking config mem =
+  Tracking.create ~backend:config.Config.backend
+    ?capacity:config.Config.coproc_capacity
+    ?drain_rate:config.Config.coproc_drain_rate
+    ?stall_penalty:config.Config.coproc_stall_penalty
+    ~low_level:config.Config.policy.Policy.low_level ~mem ()
+
 let start ?(config = Config.default) (image : Image.t) =
   let cpu = load image in
   cpu.Cpu.sb.Cpu.sb_on <- config.Config.superblocks;
-  let tracking =
-    Tracking.create ~backend:config.Config.backend
-      ?capacity:config.Config.coproc_capacity
-      ?drain_rate:config.Config.coproc_drain_rate
-      ?stall_penalty:config.Config.coproc_stall_penalty
-      ~low_level:config.Config.policy.Policy.low_level ~mem:cpu.Cpu.mem ()
-  in
+  let tracking = create_tracking config cpu.Cpu.mem in
   cpu.Cpu.tracking <- tracking;
   (match config.Config.trace with
   | Some options ->
@@ -334,6 +337,9 @@ let snapshot_config config =
     c_superblocks = config.Config.superblocks;
     c_backend = config.Config.backend;
     c_images = config.Config.images;
+    c_coproc_capacity = config.Config.coproc_capacity;
+    c_coproc_drain_rate = config.Config.coproc_drain_rate;
+    c_coproc_stall_penalty = config.Config.coproc_stall_penalty;
   }
 
 let checkpoint ?meta live =
@@ -365,14 +371,14 @@ let restore (snap : Snapshot.t) =
       ~threading:(session_threading sc.Snapshot.c_threading)
       ?trace:sc.Snapshot.c_trace ~hwtrace:sc.Snapshot.c_hwtrace
       ~superblocks:sc.Snapshot.c_superblocks ~backend:sc.Snapshot.c_backend
-      ~images:sc.Snapshot.c_images ()
+      ~images:sc.Snapshot.c_images
+      ?coproc_capacity:sc.Snapshot.c_coproc_capacity
+      ?coproc_drain_rate:sc.Snapshot.c_coproc_drain_rate
+      ?coproc_stall_penalty:sc.Snapshot.c_coproc_stall_penalty ()
   in
   let mem = Shift_mem.Memory.create () in
   Snapshot.load_memory mem snap.Snapshot.memory;
-  let tracking =
-    Tracking.create ~backend:config.Config.backend
-      ~low_level:config.Config.policy.Policy.low_level ~mem ()
-  in
+  let tracking = create_tracking config mem in
   (match snap.Snapshot.tracking with
   | Some d -> Tracking.import tracking d
   | None -> ());

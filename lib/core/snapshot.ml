@@ -16,6 +16,7 @@ module Memory = Shift_mem.Memory
 module Provenance = Shift_mem.Provenance
 module Tracking = Shift_tracking.Tracking
 module Backend = Shift_tracking.Backend
+module Reg = Shift_isa.Reg
 
 type threading =
   | T_single
@@ -32,6 +33,9 @@ type config = {
   c_superblocks : bool;
   c_backend : Backend.t;
   c_images : (string * Image.t) list;
+  c_coproc_capacity : int option;
+  c_coproc_drain_rate : int option;
+  c_coproc_stall_penalty : int option;
 }
 
 type hart = {
@@ -656,9 +660,11 @@ let config =
   and aux_image = obj2 ("name", string) ("image", marshalled "aux image") in
   record
     (fun c_policy c_io_cost c_fuel c_threading c_trace c_superblocks c_hwtrace
-         c_backend c_images ->
+         c_backend c_images c_coproc_capacity c_coproc_drain_rate
+         c_coproc_stall_penalty ->
       { c_policy; c_io_cost; c_fuel; c_threading; c_trace; c_hwtrace;
-        c_superblocks; c_backend; c_images })
+        c_superblocks; c_backend; c_images; c_coproc_capacity;
+        c_coproc_drain_rate; c_coproc_stall_penalty })
   |+ field "policy" policy (fun c -> c.c_policy)
   |+ field "io_cost" io_cost (fun c -> c.c_io_cost)
   |+ field "fuel" int (fun c -> c.c_fuel)
@@ -668,6 +674,12 @@ let config =
   |+ opt "hwtrace" bool ~default:false (fun c -> c.c_hwtrace)
   |+ opt "backend" backend ~default:Backend.Nat (fun c -> c.c_backend)
   |+ opt "images" (list aux_image) ~default:[] (fun c -> c.c_images)
+  |+ opt "coproc_capacity" (option int) ~default:None (fun c ->
+         c.c_coproc_capacity)
+  |+ opt "coproc_drain_rate" (option int) ~default:None (fun c ->
+         c.c_coproc_drain_rate)
+  |+ opt "coproc_stall_penalty" (option int) ~default:None (fun c ->
+         c.c_coproc_stall_penalty)
   |> seal
 
 (* ---- pages and world ---- *)
@@ -948,15 +960,27 @@ let flow =
 
 (* ---- tag-coprocessor state ---- *)
 
+(* Register indices, access lengths and addresses are range-checked on
+   the way in: a queued record is applied only when it drains, long
+   after the restore, and must not index past the tag file then. *)
+let checked what ok c =
+  conv Fun.id (fun v -> if ok v then v else bad "%s out of range" what) c
+
+let reg = checked "register" (fun r -> r >= 0 && r < Reg.count) int
+let access_len = checked "access length" (fun n -> n >= 1 && n <= 8) int
+let access_addr = checked "access address" Shift_mem.Addr.is_valid int64
+
 let tracking_record : Tracking.record Codec.t =
   let open Tracking in
   let what = enum "check kind" check_to_string check_of_string in
-  let set = case "set" Args.[ ("dst", int); ("tainted", bool) ]
-  and move = case "move" Args.[ ("dst", int); ("src", int) ]
-  and union = case "union" Args.[ ("dst", int); ("s1", int); ("s2", int) ]
-  and load = case "load" Args.[ ("dst", int); ("addr", int64); ("len", int) ]
-  and store = case "store" Args.[ ("addr", int64); ("len", int); ("src", int) ]
-  and check = case "check" Args.[ ("what", what); ("reg", int) ] in
+  let set = case "set" Args.[ ("dst", reg); ("tainted", bool) ]
+  and move = case "move" Args.[ ("dst", reg); ("src", reg) ]
+  and union = case "union" Args.[ ("dst", reg); ("s1", reg); ("s2", reg) ]
+  and load =
+    case "load" Args.[ ("dst", reg); ("addr", access_addr); ("len", access_len) ]
+  and store =
+    case "store" Args.[ ("addr", access_addr); ("len", access_len); ("src", reg) ]
+  and check = case "check" Args.[ ("what", what); ("reg", reg) ] in
   variant "op"
     [
       (set => fun Vals.[ dst; tainted ] -> Set { dst; tainted });
@@ -978,13 +1002,29 @@ let tracking =
   let queued = obj2 ("record", tracking_record) ("at", int) in
   record (fun d_regs d_queue d_retired d_pending_stall ->
       { Tracking.d_regs; d_queue; d_retired; d_pending_stall })
-  |+ field "regs" bits (fun d -> d.Tracking.d_regs)
+  |+ field "regs"
+       (checked "tag file length" (fun a -> Array.length a = Reg.count) bits)
+       (fun d -> d.Tracking.d_regs)
   |+ field "queue" (list queued) (fun d -> d.Tracking.d_queue)
   |+ field "retired" int (fun d -> d.Tracking.d_retired)
   |+ field "pending_stall" int (fun d -> d.Tracking.d_pending_stall)
   |> seal
 
 (* ---- the envelope ---- *)
+
+(* the coprocessor state must belong to a coproc session and fit the
+   queue its knobs describe *)
+let check_tracking config (d : Tracking.dump) =
+  if config.c_backend <> Backend.Coproc then
+    bad "tracking: tag-queue state under the %s backend"
+      (Backend.to_string config.c_backend);
+  let capacity =
+    max 1 (Option.value config.c_coproc_capacity ~default:Tracking.default_capacity)
+  in
+  let queued = List.length d.Tracking.d_queue in
+  if queued > capacity then
+    bad "tracking: %d queued records exceed the queue capacity %d" queued
+      capacity
 
 (* the version and kind fields carry no data: they are written as
    constants, and decoding rejects any other value *)
@@ -1000,6 +1040,7 @@ let snapshot =
   record
     (fun () () meta config fuel_left result image memory machine world flow
          tracking ->
+      Option.iter (check_tracking config) tracking;
       { meta; image; config; fuel_left; result; memory; machine; world; flow;
         tracking })
   |+ field "snapshot_version" stamp ignore

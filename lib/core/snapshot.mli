@@ -63,6 +63,11 @@ type config = {
       (** auxiliary exec'able images by program name, multi-process
           sessions only; serialised only when non-empty so every other
           snapshot shape stays byte-identical to version 1 files *)
+  c_coproc_capacity : int option;
+  c_coproc_drain_rate : int option;
+  c_coproc_stall_penalty : int option;
+      (** the tag-coprocessor queue knobs as configured ([None] = the
+          model default); each is serialised only when set *)
 }
 
 (** One hart's complete execution state. *)

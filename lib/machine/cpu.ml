@@ -38,6 +38,7 @@ and sb_block = {
   sb_entry : int;
   sb_len : int;
   sb_ft : bool;              (* flowtrace.enabled the block was compiled for *)
+  sb_tk : Tracking.t;        (* tracking handle the tag mirror was bound to *)
   sb_provs : int array;      (* per-instruction provenance index, for unwinds *)
   sb_prov_counts : int array;(* per-provenance slot counts for the whole block *)
   sb_body : t -> unit;       (* straight-line compiled body *)
@@ -343,6 +344,11 @@ let exec_op t (d : Decode.info) =
       end;
       t.ip <- t.ip + 1
 
+(* hand the tag queue's accrued stall to the pipeline *)
+let charge_stall t tk =
+  let stall = Tracking.take_stall tk in
+  if stall > 0 then Pipeline.stall t.pipe stall
+
 (* Mirror of [exec_op]'s taint semantics for the decoupled tag
    coprocessor (Tracking backend [coproc]): the guest runs
    uninstrumented while the core emits one propagation record per
@@ -359,55 +365,44 @@ let track_op t (d : Decode.info) =
   | Instr.Nop | Instr.Halt | Instr.Cmp _ | Instr.Tnat _ | Instr.Chk_s _
   | Instr.Br _ | Instr.Call _ | Instr.Ret ->
       ()
-  | Instr.Movi (dst, _) -> Tracking.push tk (Tracking.Set { dst; tainted = false })
-  | Instr.Lea (dst, _) -> Tracking.push tk (Tracking.Set { dst; tainted = false })
-  | Instr.Mov (dst, src) -> Tracking.push tk (Tracking.Move { dst; src })
-  | Instr.Extr { dst; src; _ } -> Tracking.push tk (Tracking.Move { dst; src })
-  | Instr.Arith (a, dst, s1, o) ->
-      let clear_idiom =
-        match (a, o) with
-        | (Instr.Xor | Instr.Sub), Instr.R s2 -> s1 = s2
-        | _ -> false
-      in
-      if clear_idiom then Tracking.push tk (Tracking.Set { dst; tainted = false })
-      else
-        let s2 = match o with Instr.R r -> r | Instr.Imm _ -> Reg.zero in
-        Tracking.push tk (Tracking.Union { dst; s1; s2 })
+  | Instr.Movi (dst, _) | Instr.Lea (dst, _) ->
+      Tracking.push_set tk ~dst ~tainted:false
+  | Instr.Mov (dst, src) | Instr.Extr { dst; src; _ } ->
+      Tracking.push_move tk ~dst ~src
+  | Instr.Arith (a, dst, s1, o) -> (
+      match (a, o) with
+      | (Instr.Xor | Instr.Sub), Instr.R s2 when s1 = s2 ->
+          (* the clear idiom *)
+          Tracking.push_set tk ~dst ~tainted:false
+      | _, Instr.R s2 -> Tracking.push_union tk ~dst ~s1 ~s2
+      | _, Instr.Imm _ -> Tracking.push_union tk ~dst ~s1 ~s2:Reg.zero)
   | Instr.Ld { width; dst; addr; _ } ->
       let a = t.values.(addr) in
       if Shift_mem.Addr.is_valid a then begin
-        if checks then
-          Tracking.push tk (Tracking.Check { what = Tracking.Load_address; reg = addr });
-        Tracking.push tk
-          (Tracking.Load { dst; addr = a; len = Instr.bytes_of_width width })
+        if checks then Tracking.push_check tk Tracking.Load_address ~reg:addr;
+        Tracking.push_load tk ~dst ~addr:a ~len:(Instr.bytes_of_width width)
       end
   | Instr.St { width; addr; src; _ } ->
       let a = t.values.(addr) in
       if Shift_mem.Addr.is_valid a then begin
-        if checks then
-          Tracking.push tk (Tracking.Check { what = Tracking.Store_address; reg = addr });
-        Tracking.push tk
-          (Tracking.Store { addr = a; len = Instr.bytes_of_width width; src })
+        if checks then Tracking.push_check tk Tracking.Store_address ~reg:addr;
+        Tracking.push_store tk ~addr:a ~len:(Instr.bytes_of_width width) ~src
       end
   | Instr.Fetchadd { dst; addr; _ } ->
       if Shift_mem.Addr.is_valid t.values.(addr) then begin
-        if checks then
-          Tracking.push tk (Tracking.Check { what = Tracking.Load_address; reg = addr });
-        Tracking.push tk (Tracking.Set { dst; tainted = false })
+        if checks then Tracking.push_check tk Tracking.Load_address ~reg:addr;
+        Tracking.push_set tk ~dst ~tainted:false
       end
   | Instr.Br_reg r ->
-      if checks then
-        Tracking.push tk (Tracking.Check { what = Tracking.Branch_target; reg = r })
+      if checks then Tracking.push_check tk Tracking.Branch_target ~reg:r
   | Instr.Call_reg r ->
-      if checks then
-        Tracking.push tk (Tracking.Check { what = Tracking.Call_target; reg = r })
-  | Instr.Setnat r -> Tracking.push tk (Tracking.Set { dst = r; tainted = true })
-  | Instr.Clrnat r -> Tracking.push tk (Tracking.Set { dst = r; tainted = false })
+      if checks then Tracking.push_check tk Tracking.Call_target ~reg:r
+  | Instr.Setnat r -> Tracking.push_set tk ~dst:r ~tainted:true
+  | Instr.Clrnat r -> Tracking.push_set tk ~dst:r ~tainted:false
   | Instr.Syscall ->
       Tracking.flush tk;
-      Tracking.push tk (Tracking.Set { dst = Reg.ret; tainted = false }));
-  let stall = Tracking.take_stall tk in
-  if stall > 0 then Pipeline.stall t.pipe stall
+      Tracking.push_set tk ~dst:Reg.ret ~tainted:false);
+  charge_stall t tk
 
 let finish t outcome =
   t.stats.cycles <- Pipeline.cycles t.pipe;

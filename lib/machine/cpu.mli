@@ -67,6 +67,8 @@ and sb_block = {
   sb_entry : int;
   sb_len : int;
   sb_ft : bool;  (** flowtrace.enabled value the body was specialised for *)
+  sb_tk : Shift_tracking.Tracking.t;
+      (** tracking handle the body's tag mirror was compiled against *)
   sb_provs : int array;
   sb_prov_counts : int array;
   sb_body : t -> unit;
@@ -157,6 +159,17 @@ val unat_bit : int64 -> int
 val goto : t -> int -> unit
 (** Taken control transfer: set [ip], count the branch, redirect the
     pipeline with {!branch_penalty}. *)
+
+val track_op : t -> Decode.info -> unit
+(** The tag-coprocessor mirror of one executing instruction: push the
+    records that carry its taint semantics onto {!field-tracking}'s
+    queue (operands read pre-execution, nothing for an address
+    {!exec_op} would reject), then {!charge_stall}.  A syscall first
+    flushes the queue.  May raise {!Shift_policy.Alert.Violation} from
+    a forced drain. *)
+
+val charge_stall : t -> Shift_tracking.Tracking.t -> unit
+(** Hand the tracking handle's accrued queue stall to the pipeline. *)
 
 val exec_op : t -> Decode.info -> unit
 (** The functional effect of one instruction whose qualifying predicate

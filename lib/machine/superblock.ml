@@ -23,7 +23,11 @@
      specialised for one value of [flowtrace.enabled] and refused when
      the flag no longer matches);
    - per-instruction [instructions]/[slots_by_prov] bumps (batched per
-     block and unwound exactly on faults).
+     block and unwound exactly on faults);
+   - the tag-coprocessor mirror's decode: under a per-instruction
+     tracking backend each slot's record kinds and operand registers
+     are bound at compile time, and the tick, pushes and stall charge
+     run in [Cpu.step]'s order.
 
    Fuel accounting stays precise: a block is only entered when the
    remaining budget covers its whole length, otherwise the tail is
@@ -35,11 +39,13 @@
    region (region 2, 8 bytes per instruction slot, watched via
    {!Shift_mem.Memory.watch}) — the conservative flush any translator
    performs on writes to code pages — and when [flowtrace.enabled]
-   flips under a compiled block. *)
+   flips, or the machine's tracking handle changes, under a compiled
+   block. *)
 
 open Shift_isa
 module Memory = Shift_mem.Memory
 module Addr = Shift_mem.Addr
+module Tracking = Shift_tracking.Tracking
 
 let hot_threshold = 8
 let max_block_len = 64
@@ -61,11 +67,7 @@ let stats (t : Cpu.t) = t.Cpu.sb.Cpu.sb_stats
 
 let ft_enabled (t : Cpu.t) = t.Cpu.flowtrace.Flowtrace.enabled
 
-let usable (t : Cpu.t) =
-  t.Cpu.sb.Cpu.sb_on
-  (* compiled blocks bypass the per-instruction hook, so a decoupled
-     tracking backend forces interpretation *)
-  && not (Shift_tracking.Tracking.per_instr t.Cpu.tracking)
+let usable (t : Cpu.t) = t.Cpu.sb.Cpu.sb_on
 
 (* ---------- instruction bodies ----------
 
@@ -271,6 +273,52 @@ let compile_exec (d : Decode.info) ~ft : Cpu.t -> unit =
   | Instr.Fetchadd _ | Instr.Setnat _ | Instr.Clrnat _ | Instr.Syscall ->
       generic
 
+(* ---------- the tag-coprocessor mirror ----------
+
+   Under a per-instruction tracking backend ([coproc]) every slot
+   retires through [Tracking.tick], and every executing slot pushes the
+   records [Cpu.track_op] would, with their kinds and operand registers
+   bound here.  [compile_mirror] covers the slots that are not loads or
+   stores; those get their pushes inside the fused closures of
+   [compile_instr], which already hold the address.  Placement follows
+   [Cpu.step]: after the issue, before the functional effect.  A drain
+   that raises [Alert.Violation] therefore leaves [ip] on its slot, and
+   [exec_block] unwinds the block tail exactly as for a fault. *)
+
+let compile_mirror (d : Decode.info) tk : Cpu.t -> unit =
+  match d.Decode.op with
+  | Instr.Nop | Instr.Halt | Instr.Cmp _ | Instr.Tnat _ | Instr.Chk_s _
+  | Instr.Br _ | Instr.Call _ | Instr.Ret ->
+      fun t ->
+        Tracking.tick tk;
+        Cpu.charge_stall t tk
+  | Instr.Movi (dst, _) | Instr.Lea (dst, _) ->
+      fun t ->
+        Tracking.tick tk;
+        Tracking.push_set tk ~dst ~tainted:false;
+        Cpu.charge_stall t tk
+  | Instr.Mov (dst, src) | Instr.Extr { dst; src; _ } ->
+      fun t ->
+        Tracking.tick tk;
+        Tracking.push_move tk ~dst ~src;
+        Cpu.charge_stall t tk
+  | Instr.Arith ((Instr.Xor | Instr.Sub), dst, s1, Instr.R s2) when s1 = s2 ->
+      fun t ->
+        Tracking.tick tk;
+        Tracking.push_set tk ~dst ~tainted:false;
+        Cpu.charge_stall t tk
+  | Instr.Arith (_, dst, s1, o) ->
+      let s2 = match o with Instr.R r -> r | Instr.Imm _ -> Reg.zero in
+      fun t ->
+        Tracking.tick tk;
+        Tracking.push_union tk ~dst ~s1 ~s2;
+        Cpu.charge_stall t tk
+  | Instr.Ld _ | Instr.St _ | Instr.Fetchadd _ | Instr.Br_reg _
+  | Instr.Call_reg _ | Instr.Setnat _ | Instr.Clrnat _ | Instr.Syscall ->
+      fun t ->
+        Tracking.tick tk;
+        Cpu.track_op t d
+
 (* ---------- timing prologue and memory fusion ----------
 
    [compile_instr] wraps an instruction body with exactly [Cpu.step]'s
@@ -283,7 +331,21 @@ let compile_exec (d : Decode.info) ~ft : Cpu.t -> unit =
    (the interpreter reads it once in the timing prologue and again in
    [exec_op]). *)
 
-let compile_instr (decoded : Decode.t) ~ft pc : Cpu.t -> unit =
+(* [Cpu.exec_op]'s invalid-load path; runs after the issue, like the
+   fault raised from [exec_op] *)
+let load_invalid ~spec ~ft ~dst ~addr (t : Cpu.t) a =
+  if spec then begin
+    t.Cpu.values.(dst) <- 0L;
+    t.Cpu.nats.(dst) <- true;
+    if ft then
+      Flowtrace.on_spec_nat t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip ~dst;
+    t.Cpu.ip <- t.Cpu.ip + 1
+  end
+  else if t.Cpu.nats.(addr) then
+    raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Load_address))
+  else raise (Cpu.Fault_exn (Fault.Invalid_address a))
+
+let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
   let d = decoded.(pc) in
   (* hooks fire only for original-program instructions: the SHIFT
      instrumentation (non-Orig provenance) is transparent to the
@@ -295,25 +357,88 @@ let compile_instr (decoded : Decode.t) ~ft pc : Cpu.t -> unit =
     Pipeline.compile_issue ~reads:d.Decode.reads ~writes:d.Decode.writes
       ~pred_writes:d.Decode.pred_writes ~qp ~is_mem:d.Decode.is_mem
   in
+  let mirror = Tracking.per_instr tk in
+  let checks = Tracking.low_level_checks tk in
   let hot =
     match d.Decode.op with
-    | Instr.Ld { width; dst; addr; spec; fill } when dst <> Reg.zero ->
+    | Instr.Ld { width; dst; addr; spec; fill } when mirror ->
+        (* the tag mirror pushes for every valid address, the test
+           [Cpu.track_op] makes; the access is the fused one below, with
+           [fill] and [ft] tested on bound flags *)
         let w = Instr.bytes_of_width width in
-        let invalid t a =
-          (* mirrors [Cpu.exec_op]'s invalid-load path; runs after the
-             issue, like the fault raised from [exec_op] *)
-          if spec then begin
-            t.Cpu.values.(dst) <- 0L;
-            t.Cpu.nats.(dst) <- true;
+        let invalid = load_invalid ~spec ~ft ~dst ~addr in
+        fun t ->
+          let a = t.Cpu.values.(addr) in
+          let valid = Addr.is_valid a in
+          let ok = (not t.Cpu.nats.(addr)) && valid in
+          issue t.Cpu.pipe
+            (if ok then
+               if Cpu.touch_cache t ~pc ~store:false ~areg:addr a then lat0
+               else lat0 + Cache.miss_penalty
+             else lat0);
+          Tracking.tick tk;
+          if valid then begin
+            if checks then
+              Tracking.push_check tk Tracking.Load_address ~reg:addr;
+            Tracking.push_load tk ~dst ~addr:a ~len:w
+          end;
+          Cpu.charge_stall t tk;
+          if dst = Reg.zero then Cpu.exec_op t d
+          else if ok then begin
+            t.Cpu.values.(dst) <- Memory.read t.Cpu.mem a ~width:w;
+            t.Cpu.nats.(dst) <-
+              fill
+              && Int64.logand
+                   (Int64.shift_right_logical t.Cpu.unat (Cpu.unat_bit a))
+                   1L
+                 = 1L;
+            t.Cpu.stats.Stats.loads <- t.Cpu.stats.Stats.loads + 1;
             if ft then
-              Flowtrace.on_spec_nat t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip
-                ~dst;
+              Flowtrace.on_load t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip
+                ~dst ~addr:a ~len:w;
             t.Cpu.ip <- t.Cpu.ip + 1
           end
-          else if t.Cpu.nats.(addr) then
-            raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Load_address))
-          else raise (Cpu.Fault_exn (Fault.Invalid_address a))
-        in
+          else invalid t a
+    | Instr.St { width; addr; src; spill } when mirror ->
+        let w = Instr.bytes_of_width width in
+        fun t ->
+          let a = t.Cpu.values.(addr) in
+          let addr_nat = t.Cpu.nats.(addr) in
+          let valid = Addr.is_valid a in
+          if (not addr_nat) && valid then
+            ignore (Cpu.touch_cache t ~pc ~store:true ~areg:addr a);
+          issue t.Cpu.pipe lat0;
+          Tracking.tick tk;
+          if valid then begin
+            if checks then
+              Tracking.push_check tk Tracking.Store_address ~reg:addr;
+            Tracking.push_store tk ~addr:a ~len:w ~src
+          end;
+          Cpu.charge_stall t tk;
+          if spill then Cpu.exec_op t d
+          else begin
+            if addr_nat then
+              raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Store_address));
+            if not valid then raise (Cpu.Fault_exn (Fault.Invalid_address a));
+            if t.Cpu.nats.(src) then
+              raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Store_value));
+            Memory.write t.Cpu.mem a ~width:w t.Cpu.values.(src);
+            t.Cpu.stats.Stats.stores <- t.Cpu.stats.Stats.stores + 1;
+            if ft then
+              Flowtrace.on_store t.Cpu.flowtrace t.Cpu.ftregs ~ip:t.Cpu.ip
+                ~src ~addr:a ~len:w;
+            t.Cpu.ip <- t.Cpu.ip + 1
+          end
+    | _ when mirror ->
+        let track = compile_mirror d tk in
+        let exec = compile_exec d ~ft in
+        fun t ->
+          issue t.Cpu.pipe lat0;
+          track t;
+          exec t
+    | Instr.Ld { width; dst; addr; spec; fill } when dst <> Reg.zero ->
+        let w = Instr.bytes_of_width width in
+        let invalid = load_invalid ~spec ~ft ~dst ~addr in
         if ft then fun t ->
           let a = t.Cpu.values.(addr) in
           let ok = (not t.Cpu.nats.(addr)) && Addr.is_valid a in
@@ -438,7 +563,17 @@ let compile_instr (decoded : Decode.t) ~ft pc : Cpu.t -> unit =
     hot
   else begin
     let off = Pipeline.compile_issue_off ~qp in
-    fun t ->
+    if mirror then fun t ->
+      if t.Cpu.preds.(qp) then hot t
+      else begin
+        t.Cpu.stats.Stats.predicated_off <-
+          t.Cpu.stats.Stats.predicated_off + 1;
+        off t.Cpu.pipe;
+        (* a predicated-off slot still retires: the coprocessor ticks *)
+        Tracking.tick tk;
+        t.Cpu.ip <- t.Cpu.ip + 1
+      end
+    else fun t ->
       if t.Cpu.preds.(qp) then hot t
       else begin
         t.Cpu.stats.Stats.predicated_off <-
@@ -512,6 +647,7 @@ let compile_block (t : Cpu.t) entry =
   let decoded = t.Cpu.decoded in
   let size = Program.size t.Cpu.program in
   let ft = ft_enabled t in
+  let tk = t.Cpu.tracking in
   let len = ref 0 in
   let stop = ref false in
   while (not !stop) && !len < max_block_len && entry + !len < size do
@@ -520,7 +656,7 @@ let compile_block (t : Cpu.t) entry =
     if is_terminator d.Decode.op then stop := true
   done;
   let len = !len in
-  let fs = Array.init len (fun i -> compile_instr decoded ~ft (entry + i)) in
+  let fs = Array.init len (fun i -> compile_instr decoded ~ft ~tk (entry + i)) in
   let provs =
     Array.init len (fun i -> decoded.(entry + i).Decode.prov_index)
   in
@@ -532,6 +668,7 @@ let compile_block (t : Cpu.t) entry =
         Cpu.sb_entry = entry;
         sb_len = len;
         sb_ft = ft;
+        sb_tk = tk;
         sb_provs = provs;
         sb_prov_counts = prov_counts;
         sb_body = seq fs 0 len;
@@ -628,8 +765,11 @@ let steps (t : Cpu.t) ~limit =
          end
          else begin
            match sb.Cpu.sb_blocks.(ip) with
-           | Some b when b.Cpu.sb_ft <> ft_enabled t ->
-               (* tracing was toggled under a compiled block: recompile *)
+           | Some b
+             when b.Cpu.sb_ft <> ft_enabled t || b.Cpu.sb_tk != t.Cpu.tracking
+             ->
+               (* tracing was toggled, or a new tracking handle installed,
+                  under a compiled block: recompile *)
                sb.Cpu.sb_blocks.(ip) <- None;
                sb.Cpu.sb_stats.Stats.sb_invalidations <-
                  sb.Cpu.sb_stats.Stats.sb_invalidations + 1

@@ -22,7 +22,11 @@
     restored machine starts cold, and guest stores into the watched
     code region (region 2) invalidate every block covering a written
     instruction slot.  Blocks are additionally specialised for the
-    current [flowtrace.enabled] flag and recompiled when it flips. *)
+    current [flowtrace.enabled] flag and the machine's tracking handle,
+    and recompiled when either changes.  Under a per-instruction
+    tracking backend ([coproc]) every compiled slot ticks the tag
+    coprocessor and pushes the records {!Cpu.track_op} would, in
+    {!Cpu.step}'s order. *)
 
 val hot_threshold : int
 (** Times an entry pc must be dispatched before its block is compiled. *)
@@ -39,9 +43,9 @@ val code_addr : int -> int64
     bytes invalidate every compiled block covering it. *)
 
 val usable : Cpu.t -> bool
-(** Whether the compiled fast path may run on this machine:
-    superblocks enabled and no per-instruction tracking hook (the
-    decoupled coprocessor backend mirrors every retired instruction). *)
+(** Whether the compiled fast path may run on this machine: superblocks
+    enabled.  Every tracking backend qualifies — under [coproc] the
+    per-instruction tag mirror is compiled into the blocks. *)
 
 val stats : Cpu.t -> Stats.superblocks
 (** The machine's host-side superblock counters (never part of

@@ -10,11 +10,11 @@
 
     The static side of the contract is {!S}: a backend declares whether
     it needs the per-retired-instruction hook ([per_instr]), whether
-    input syscalls taint their buffers ([sources]), whether policies
-    are evaluated at all ([checks]), and whether the superblock
-    compiler — whose compiled blocks bypass the per-instruction hook —
-    may run ([superblocks_ok]).  {!profile} maps a backend to its
-    profile; {!create} bakes the profile into a runtime handle.
+    input syscalls taint their buffers ([sources]) and whether policies
+    are evaluated at all ([checks]).  {!profile} maps a backend to its
+    profile; {!create} bakes the profile into a runtime handle.  Both
+    execution engines run under every backend: the superblock compiler
+    binds the per-instruction hook into its compiled blocks.
 
     The [nat] backend sets [per_instr = false]: SHIFT's propagation is
     performed by the guest's own NaT semantics and instrumentation, so
@@ -28,9 +28,16 @@
     The [coproc] backend models a decoupled tag coprocessor with an
     asynchronous tag queue (Wahab et al., PAGURUS — see PAPERS.md).
     The main core runs the {e uninstrumented} guest; for each retired
-    instruction the machine layer mirrors its taint semantics into a
-    {!record} and {!push}es it onto a bounded FIFO, tagging it with the
-    current retired-instruction count.  Each retirement {!tick}s the
+    instruction the machine layer mirrors its taint semantics into one
+    or two records ({!push_set} … {!push_check}) on a bounded FIFO,
+    tagging each with the current retired-instruction count.  The
+    interpreter does this in [Cpu.track_op]; the superblock compiler
+    binds the same pushes, with their record kinds and operand
+    registers, into each compiled slot, so both engines produce the
+    same queue.  The FIFO is a ring of unboxed slots: pushing and
+    draining register records allocates nothing (a draining Load or
+    Store reads the bitmap through {!Shift_mem.Taint}).  Each
+    retirement {!tick}s the
     coprocessor, which drains up to [drain_rate] records, applying them
     in program order against its private register tag file and the
     byte-granularity memory bitmap.  A {!check} record evaluates when
@@ -54,10 +61,6 @@ module type S = sig
 
   val checks : bool
   (** Security policies (low-level and high-level) are evaluated. *)
-
-  val superblocks_ok : bool
-  (** The superblock compiler may run (its compiled blocks bypass the
-      per-instruction hook). *)
 end
 
 module Nat : S
@@ -87,6 +90,9 @@ type record =
   | Load of { dst : int; addr : int64; len : int }
   | Store of { addr : int64; len : int; src : int }
   | Check of { what : check; reg : int }
+(** One tag-queue record, as exchanged with the outside: {!export} and
+    {!import}, the snapshot codec and tests.  The queue itself stores
+    records unboxed. *)
 
 (** {2 Runtime handle} *)
 
@@ -154,10 +160,21 @@ val tick : t -> unit
     [drain_rate] records.  May raise {!Shift_policy.Alert.Violation}
     when a draining check finds a tainted tag. *)
 
+(** {3 Enqueueing}
+
+    Each push enqueues one record; on a full queue it first force-drains
+    one record and accrues [stall_penalty] cycles, so it may raise
+    {!Shift_policy.Alert.Violation} from the forced drain.  The typed
+    pushes are the machine layer's allocation-free hot path; {!push}
+    takes a {!record} and is equivalent. *)
+
+val push_set : t -> dst:int -> tainted:bool -> unit
+val push_move : t -> dst:int -> src:int -> unit
+val push_union : t -> dst:int -> s1:int -> s2:int -> unit
+val push_load : t -> dst:int -> addr:int64 -> len:int -> unit
+val push_store : t -> addr:int64 -> len:int -> src:int -> unit
+val push_check : t -> check -> reg:int -> unit
 val push : t -> record -> unit
-(** Enqueue a record; on a full queue, force-drains one record and
-    accrues [stall_penalty] cycles.  May raise
-    {!Shift_policy.Alert.Violation} from the forced drain. *)
 
 val flush : t -> unit
 (** Drain the whole queue (syscall barrier, end of run).  May raise
@@ -177,4 +194,7 @@ type dump = {
 }
 
 val export : t -> dump
+
 val import : t -> dump -> unit
+(** Raises [Invalid_argument] when the dump's tag file does not match
+    the handle's or its queue holds more than [capacity t] records. *)

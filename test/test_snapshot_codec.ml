@@ -241,6 +241,7 @@ let broken_images j =
     ]
 
 let cache_of f = with_field "machine" (with_field "hart" (with_field "cache" f))
+let tracking_of f = with_field "tracking" f
 
 let hostile_tests =
   [
@@ -279,6 +280,86 @@ let hostile_tests =
     tc "a missing superblocks flag is an Error" (fun () ->
         let j = Shift.Snapshot.to_json (single_word ()) in
         rejects "superblocks" (with_field "config" (remove "superblocks") j));
+    tc "a hostile tag-queue record is an Error" (fun () ->
+        let j = Shift.Snapshot.to_json (coproc_queue ()) in
+        let addr =
+          Shift.Results.String
+            (Int64.to_string (Shift_mem.Addr.in_region 1 0x10000L))
+        in
+        let record fields = Shift.Results.Obj fields in
+        List.iter
+          (fun (what, r) ->
+            rejects what
+              (tracking_of
+                 (with_field "queue" (function
+                   | Shift.Results.List (e :: rest) ->
+                       Shift.Results.List (set "record" r e :: rest)
+                   | _ -> Alcotest.fail "empty queue"))
+                 j))
+          Shift.Results.
+            [
+              ( "register 999",
+                record [ ("op", String "set"); ("dst", Int 999); ("tainted", Bool true) ] );
+              ( "register -1",
+                record [ ("op", String "move"); ("dst", Int 3); ("src", Int (-1)) ] );
+              ( "register Reg.count",
+                record
+                  [ ("op", String "union"); ("dst", Int 3); ("s1", Int 4);
+                    ("s2", Int Shift_isa.Reg.count) ] );
+              ( "length 0",
+                record [ ("op", String "load"); ("dst", Int 3); ("addr", addr); ("len", Int 0) ] );
+              ( "length 9",
+                record [ ("op", String "store"); ("addr", addr); ("len", Int 9); ("src", Int 3) ] );
+              ( "null address",
+                record [ ("op", String "load"); ("dst", Int 3); ("addr", String "0"); ("len", Int 8) ] );
+              ( "check register 999",
+                record [ ("op", String "check"); ("what", String "load address"); ("reg", Int 999) ] );
+            ]);
+    tc "a tag queue longer than its capacity is an Error" (fun () ->
+        let j = Shift.Snapshot.to_json (coproc_queue ()) in
+        let queue =
+          match
+            Option.bind (Shift.Results.member "tracking" j)
+              (Shift.Results.member "queue")
+          with
+          | Some (Shift.Results.List (e :: _ as l)) -> (e, List.length l)
+          | _ -> Alcotest.fail "empty queue"
+        in
+        let e, n = queue in
+        rejects "default capacity + 1"
+          (tracking_of
+             (set "queue"
+                (Shift.Results.List
+                   (List.init (Shift_tracking.Tracking.default_capacity + 1)
+                      (fun _ -> e))))
+             j);
+        if n > 1 then
+          rejects "configured capacity"
+            (with_field "config"
+               (fun c ->
+                 match c with
+                 | Shift.Results.Obj kvs ->
+                     Shift.Results.Obj
+                       (kvs @ [ ("coproc_capacity", Shift.Results.Int (n - 1)) ])
+                 | c -> c)
+               j));
+    tc "a tag file of the wrong length is an Error" (fun () ->
+        let j = Shift.Snapshot.to_json (coproc_queue ()) in
+        List.iter
+          (fun n ->
+            rejects
+              (Printf.sprintf "%d tag bits" n)
+              (tracking_of (set "regs" (Shift.Results.String (String.make n '0'))) j))
+          [ 0; Shift_isa.Reg.count - 1; Shift_isa.Reg.count + 1 ]);
+    tc "tag-queue state under the nat backend is an Error" (fun () ->
+        let tracking =
+          Shift.Results.member "tracking"
+            (Shift.Snapshot.to_json (coproc_queue ()))
+        in
+        match (tracking, Shift.Snapshot.to_json (single_word ())) with
+        | Some tk, Shift.Results.Obj kvs ->
+            rejects "nat + tracking" (Shift.Results.Obj (kvs @ [ ("tracking", tk) ]))
+        | _ -> Alcotest.fail "unexpected snapshot shape");
     tc "load returns an Error for a corrupted file" (fun () ->
         let j = Shift.Snapshot.to_json (single_word ()) in
         let text = Shift.Results.(to_string (set "image" (String "00") j)) in

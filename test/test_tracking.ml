@@ -11,7 +11,10 @@
      uninstrumented exit code (the taint markers kept in the
      uninstrumented stream feed the mirror, not the NaT file);
    - the lag model honours its bounds: drain lag never exceeds the
-     queue capacity, and a full queue charges stall cycles. *)
+     queue capacity, and a full queue charges stall cycles;
+   - the coprocessor is engine-independent: with superblocks on, its
+     queue, tag file and counters match the interpreter's at every
+     slice boundary, including when stalls and alerts land mid-block. *)
 
 open Build
 module Mode = Shift_compiler.Mode
@@ -158,12 +161,13 @@ let run_coproc ?policy ?setup prog =
   | `Finished _ | `Yielded -> ());
   (Shift.Session.report live, Tracking.stats (Shift.Session.tracking live))
 
-let attack_coproc ~benign (c : Case.t) =
+let attack_coproc ~superblocks ~benign (c : Case.t) =
   let backend = Backend.Coproc in
   let image = Shift.Session.build ~backend ~mode:Mode.shift_word c.Case.program in
   let setup = if benign then c.Case.benign else c.Case.exploit in
   let config =
-    Shift.Session.Config.make ~policy:c.Case.policy ~setup ~backend ()
+    Shift.Session.Config.make ~policy:c.Case.policy ~setup ~superblocks ~backend
+      ()
   in
   let live = Shift.Session.start ~config image in
   (match Shift.Session.advance live ~budget:max_int with
@@ -188,7 +192,10 @@ let coproc_tests =
     tc "every Table-2 exploit alerts; every benign input is clean" (fun () ->
         List.iter
           (fun (c : Case.t) ->
-            (let report, stats = attack_coproc ~benign:false c in
+            let run ~benign superblocks =
+              attack_coproc ~superblocks ~benign c
+            in
+            (let ((report, stats) as on) = run ~benign:false true in
              (match report.Shift.Report.outcome with
              | Shift.Report.Alert _ -> ()
              | o ->
@@ -197,19 +204,122 @@ let coproc_tests =
              Alcotest.(check bool)
                (c.Case.program_name ^ ": lag bounded") true
                (stats.Tracking.last_alert_lag <= Tracking.default_capacity
-               && stats.Tracking.max_lag <= Tracking.default_capacity));
-            let benign_report, _ = attack_coproc ~benign:true c in
-            match benign_report.Shift.Report.outcome with
-            | Shift.Report.Alert a ->
-                Alcotest.failf "%s: false alarm on benign input (%s)"
-                  c.Case.program_name a.Shift_policy.Alert.message
-            | _ -> ())
+               && stats.Tracking.max_lag <= Tracking.default_capacity);
+             let off = run ~benign:false false in
+             Util.check_string
+               (c.Case.program_name ^ ": alert report, superblocks on = off")
+               (report_bytes (fst off)) (report_bytes report);
+             Alcotest.(check bool)
+               (c.Case.program_name ^ ": queue stats, superblocks on = off")
+               true
+               (snd on = snd off));
+            List.iter
+              (fun superblocks ->
+                let benign_report, _ = run ~benign:true superblocks in
+                match benign_report.Shift.Report.outcome with
+                | Shift.Report.Alert a ->
+                    Alcotest.failf "%s: false alarm on benign input (%s)"
+                      c.Case.program_name a.Shift_policy.Alert.message
+                | _ -> ())
+              [ true; false ])
           Shift_attacks.Attacks.all);
     tc "the queue is fully drained when a run finishes" (fun () ->
         let prog = Test_random.gen_program 23 in
         let _, stats = run_coproc prog in
         Util.check_int "enqueued = drained" stats.Tracking.enqueued
           stats.Tracking.drained);
+  ]
+
+(* ---------- coproc: superblocks on = off ---------- *)
+
+let coproc_live ?threading ?capacity ?drain_rate ~superblocks prog =
+  let backend = Backend.Coproc in
+  let config =
+    Shift.Session.Config.make ~fuel ~superblocks ~backend ?threading
+      ?coproc_capacity:capacity ?coproc_drain_rate:drain_rate ()
+  in
+  Shift.Session.start ~config
+    (Shift.Session.build ~backend ~mode:Mode.shift_word prog)
+
+(* Both engines advance in lockstep slices; at every boundary the
+   coprocessor's whole state (queue, tag file, lag clock, uncharged
+   stall) and every counter must agree, and so must the final report. *)
+let engines_agree ?threading ?capacity ?drain_rate prog =
+  let on = coproc_live ?threading ?capacity ?drain_rate ~superblocks:true prog in
+  let off =
+    coproc_live ?threading ?capacity ?drain_rate ~superblocks:false prog
+  in
+  let state live =
+    let tk = Shift.Session.tracking live in
+    (Tracking.export tk, Tracking.stats tk)
+  in
+  let rec go () =
+    let a = Shift.Session.advance on ~budget:211 in
+    let b = Shift.Session.advance off ~budget:211 in
+    state on = state off
+    &&
+    match (a, b) with
+    | `Yielded, `Yielded -> go ()
+    | `Finished _, `Finished _ -> true
+    | _ -> false
+  in
+  go ()
+  && report_bytes (Shift.Session.report on)
+     = report_bytes (Shift.Session.report off)
+
+let coproc_engine_test =
+  QCheck.Test.make ~count:20
+    ~name:"coproc: superblocks on = off, default and stalling knobs"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let prog = Test_random.gen_program seed in
+      (* drain 1 with capacity 2 or 1: the queue runs full, so stalls
+         and forced drains land inside compiled blocks — at capacity 1,
+         on every checked load and store *)
+      engines_agree prog
+      && engines_agree ~capacity:2 ~drain_rate:1 prog
+      && engines_agree ~capacity:1 ~drain_rate:1 prog)
+
+(* two spawned harts looping long enough to compile blocks, sharing the
+   one coprocessor *)
+let threaded_loops_prog =
+  let open Build.Infix in
+  {
+    Ir.globals = [];
+    funcs =
+      [
+        func "worker" ~params:[ "x" ] ~locals:[ scalar "acc"; scalar "j" ]
+          ([ set "acc" (i 0) ]
+          @ for_up "j" (i 0) (i 300) [ set "acc" (v "acc" +: (v "j" *: v "x")) ]
+          @ [ ret (v "acc") ]);
+        func "main" ~params:[] ~locals:[ scalar "t1"; scalar "t2" ]
+          [
+            set "t1" (call "sys_spawn" [ fnptr "worker"; i 5 ]);
+            set "t2" (call "sys_spawn" [ fnptr "worker"; i 6 ]);
+            ret (call "sys_join" [ v "t1" ] +: call "sys_join" [ v "t2" ]);
+          ];
+      ];
+  }
+
+let engine_tests =
+  [
+    QCheck_alcotest.to_alcotest coproc_engine_test;
+    tc "threaded coproc: superblocks on = off" (fun () ->
+        let threading = Shift.Session.Config.Threads { quantum = Some 97 } in
+        let live =
+          coproc_live ~threading ~superblocks:true threaded_loops_prog
+        in
+        (match Shift.Session.advance live ~budget:max_int with
+        | `Finished _ | `Yielded -> ());
+        Util.check_i64 "exit code" (Int64.of_int (11 * 44850))
+          (Util.exit_code (Shift.Session.report live));
+        Alcotest.(check bool) "blocks entered" true
+          ((Shift.Session.superblock_stats live).Shift_machine.Stats.sb_hits > 0);
+        Alcotest.(check bool) "default knobs" true
+          (engines_agree ~threading threaded_loops_prog);
+        Alcotest.(check bool) "capacity 1, drain 1" true
+          (engines_agree ~threading ~capacity:1 ~drain_rate:1
+             threaded_loops_prog));
   ]
 
 (* ---------- the queue unit model ---------- *)
@@ -244,6 +354,45 @@ let queue_tests =
             Tracking.tick t;
             Util.check_int "nothing enqueued" 0 (Tracking.queue_length t))
           [ Backend.Nat; Backend.Off ]);
+    tc "typed pushes and ticks allocate nothing" (fun () ->
+        (* capacity 4 with four pushes per tick: the loop also takes the
+           stall path; r9 is never tagged, so the checks stay quiet *)
+        let t = Tracking.create ~backend:Backend.Coproc ~capacity:4 () in
+        let loop n =
+          for i = 1 to n do
+            Tracking.push_set t ~dst:(1 + (i land 7)) ~tainted:(i land 1 = 0);
+            Tracking.push_move t ~dst:2 ~src:3;
+            Tracking.push_union t ~dst:4 ~s1:2 ~s2:0;
+            Tracking.push_check t Tracking.Load_address ~reg:9;
+            Tracking.tick t
+          done
+        in
+        loop 100;
+        let before = Gc.minor_words () in
+        loop 10_000;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check (float 0.)) "minor words" 0. words;
+        Alcotest.(check bool) "stalls taken" true
+          ((Tracking.stats t).Tracking.stalls > 0));
+    tc "load and store pushes allocate nothing" (fun () ->
+        let mem = Shift_mem.Memory.create () in
+        let t = Tracking.create ~backend:Backend.Coproc ~mem () in
+        let addr = Shift_mem.Addr.in_region 1 0x10000L in
+        let fill () =
+          for _ = 1 to Tracking.default_capacity / 2 do
+            Tracking.push_load t ~dst:3 ~addr ~len:8;
+            Tracking.push_store t ~addr ~len:4 ~src:3
+          done
+        in
+        (* the first fill grows the ring to its full size *)
+        fill ();
+        Tracking.flush t;
+        let before = Gc.minor_words () in
+        fill ();
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check (float 0.)) "minor words" 0. words;
+        Util.check_int "queued" Tracking.default_capacity
+          (Tracking.queue_length t));
   ]
 
 (* ---------- snapshots ---------- *)
@@ -279,6 +428,46 @@ let snapshot_tests =
         let resumed = finish (Shift.Session.restore snap) in
         Util.check_string "byte-identical report" (report_bytes reference)
           (report_bytes resumed));
+    tc "non-default queue knobs survive checkpoint/restore" (fun () ->
+        let backend = Backend.Coproc in
+        let k = Option.get (Shift_workloads.Spec.find "gzip") in
+        let image =
+          Shift.Session.build ~backend ~mode:Mode.shift_word
+            k.Shift_workloads.Spec.program
+        in
+        let config =
+          Shift.Session.Config.make ~fuel ~backend
+            ~setup:(Shift_workloads.Spec.setup ~size:64 ~tainted:true k)
+            ~coproc_capacity:4 ~coproc_drain_rate:1 ~coproc_stall_penalty:7 ()
+        in
+        let finish live =
+          (match Shift.Session.advance live ~budget:max_int with
+          | `Finished _ | `Yielded -> ());
+          Shift.Session.report live
+        in
+        let straight = finish (Shift.Session.start ~config image) in
+        let live = Shift.Session.start ~config image in
+        (match Shift.Session.advance live ~budget:20_000 with
+        | `Yielded -> ()
+        | `Finished _ -> Alcotest.fail "finished before the checkpoint");
+        let text =
+          Shift.Results.to_string
+            (Shift.Snapshot.to_json (Shift.Session.checkpoint live))
+        in
+        let snap =
+          match Result.bind (Shift.Results.of_string text) Shift.Snapshot.of_json with
+          | Error e -> Alcotest.failf "snapshot did not decode: %s" e
+          | Ok s -> s
+        in
+        let restored = Shift.Session.restore snap in
+        Util.check_int "restored capacity" 4
+          (Tracking.capacity (Shift.Session.tracking restored));
+        let resumed = finish restored in
+        Alcotest.(check bool)
+          "the knobs stall the queue" true
+          ((Tracking.stats (Shift.Session.tracking live)).Tracking.stalls > 0);
+        Util.check_string "byte-identical report" (report_bytes straight)
+          (report_bytes resumed));
     tc "export/import round-trips the queue and tag file" (fun () ->
         let t = Tracking.create ~backend:Backend.Coproc ~capacity:8 () in
         Tracking.push t (Tracking.Set { dst = 3; tainted = true });
@@ -299,6 +488,7 @@ let suites =
     ("tracking.backend", name_tests);
     ("tracking.identity", identity_tests);
     ("tracking.coproc", coproc_tests);
+    ("tracking.engines", engine_tests);
     ("tracking.queue", queue_tests);
     ("tracking.snapshot", snapshot_tests);
   ]
