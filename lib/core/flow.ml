@@ -93,8 +93,13 @@ let jsonl ?(meta = []) ?outcome (ft : Flowtrace.t) =
         | Results.Obj fields -> [ Results.Obj (("line", Results.String "outcome") :: fields) ]
         | j -> [ j ])
   in
-  String.concat ""
-    (List.map (fun j -> Results.to_string ~minify:true j ^ "\n") lines)
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun j ->
+      Results.to_buffer ~minify:true b j;
+      Buffer.add_char b '\n')
+    lines;
+  Buffer.contents b
 
 let pp ppf (ft : Flowtrace.t) =
   Format.fprintf ppf "@[<v>";

@@ -23,20 +23,51 @@ let schema_version = 3
 
 (* ---------- printing ---------- *)
 
+let hex_digits = "0123456789abcdef"
+
+(* Whether the 8 bytes at [i] hold a byte that needs escaping: below
+   0x20, a quote or a backslash.  Bit tricks on one int64 (the
+   "has a zero byte" test, and "has a byte below n"), so a long run of
+   plain bytes such as a hex payload is skipped a word at a time. *)
+let word_needs_escape s i =
+  let w = String.get_int64_le s i in
+  let has_zero x =
+    Int64.(logand (logand (sub x 0x0101010101010101L) (lognot x)) 0x8080808080808080L)
+  in
+  Int64.(
+    logor
+      (logand (logand (sub w 0x2020202020202020L) (lognot w)) 0x8080808080808080L)
+      (logor (has_zero (logxor w 0x2222222222222222L)) (has_zero (logxor w 0x5c5c5c5c5c5c5c5cL))))
+  <> 0L
+
+(* Plain bytes are copied in runs, one blit per run.  Control bytes
+   without a short form print as \u00XX; bytes >= 0x80 go out raw. *)
 let add_escaped b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  let n = String.length s in
+  let start = ref 0 and i = ref 0 in
+  while !i < n do
+    if !i + 8 <= n && not (word_needs_escape s !i) then i := !i + 8
+    else begin
+      (match String.unsafe_get s !i with
+      | ('"' | '\\' | '\000' .. '\031') as c -> (
+          Buffer.add_substring b s !start (!i - !start);
+          start := !i + 1;
+          match c with
+          | '"' -> Buffer.add_string b "\\\""
+          | '\\' -> Buffer.add_string b "\\\\"
+          | '\n' -> Buffer.add_string b "\\n"
+          | '\r' -> Buffer.add_string b "\\r"
+          | '\t' -> Buffer.add_string b "\\t"
+          | c ->
+              Buffer.add_string b "\\u00";
+              Buffer.add_char b hex_digits.[Char.code c lsr 4];
+              Buffer.add_char b hex_digits.[Char.code c land 0xf])
+      | _ -> ());
+      incr i
+    end
+  done;
+  Buffer.add_substring b s !start (n - !start);
   Buffer.add_char b '"'
 
 (* Shortest representation that parses back to the same float; JSON has
@@ -52,12 +83,21 @@ let add_float b f =
     in
     Buffer.add_string b s
 
-let to_string ?(minify = false) j =
-  let b = Buffer.create 1024 in
+(* indentation is copied out of one run of spaces *)
+let spaces = String.make 64 ' '
+
+let rec add_spaces b n =
+  if n > 0 then begin
+    let k = min n (String.length spaces) in
+    Buffer.add_substring b spaces 0 k;
+    add_spaces b (n - k)
+  end
+
+let to_buffer ?(minify = false) b j =
   let nl indent =
     if not minify then begin
       Buffer.add_char b '\n';
-      Buffer.add_string b (String.make indent ' ')
+      add_spaces b indent
     end
   in
   let rec go indent = function
@@ -92,7 +132,11 @@ let to_string ?(minify = false) j =
         nl indent;
         Buffer.add_char b '}'
   in
-  go 0 j;
+  go 0 j
+
+let to_string ?minify j =
+  let b = Buffer.create 1024 in
+  to_buffer ?minify b j;
   Buffer.contents b
 
 (* ---------- parsing ---------- *)

@@ -43,6 +43,11 @@ val to_string : ?minify:bool -> json -> string
     representation for them; all other floats are printed with enough
     digits to parse back to the identical value. *)
 
+val to_buffer : ?minify:bool -> Buffer.t -> json -> unit
+(** [to_buffer b j] appends exactly the bytes [to_string j] returns, so
+    a caller writing many values (JSONL lines, a file) can print them
+    into one buffer without a copy per value. *)
+
 val of_string : string -> (json, string) result
 (** Parse a complete JSON text.  Accepts exactly the constructs
     {!to_string} emits plus standard escapes; the error string carries

@@ -308,9 +308,14 @@ module Codec = struct
       string
 
   let hex_encode s =
-    String.init (2 * String.length s) (fun i ->
-        let c = Char.code (String.unsafe_get s (i lsr 1)) in
-        "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 0xf])
+    let digits = "0123456789abcdef" in
+    let b = Bytes.create (2 * String.length s) in
+    for i = 0 to String.length s - 1 do
+      let c = Char.code (String.unsafe_get s i) in
+      Bytes.unsafe_set b (2 * i) (String.unsafe_get digits (c lsr 4));
+      Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get digits (c land 0xf))
+    done;
+    Bytes.unsafe_to_string b
 
   let hex_decode s =
     let n = String.length s in
@@ -1072,8 +1077,10 @@ let save path t =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc (Results.to_string (to_json t));
-      output_char oc '\n');
+      let b = Buffer.create 1024 in
+      Results.to_buffer b (to_json t);
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b);
   Sys.rename tmp path
 
 let load path =
