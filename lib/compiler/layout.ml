@@ -9,6 +9,7 @@ module Dataseg = struct
   type t = {
     mutable next : int64;
     mutable chunks : (int64 * string) list;
+    mutable interned : int;  (* string literals named so far: __str1.. *)
     symbols : (string, int64) Hashtbl.t;
     strings : (string, int64) Hashtbl.t;
   }
@@ -20,6 +21,7 @@ module Dataseg = struct
       {
         next = data_base;
         chunks = [];
+        interned = 0;
         symbols = Hashtbl.create 64;
         strings = Hashtbl.create 64;
       }
@@ -54,14 +56,12 @@ module Dataseg = struct
         let b = bytes_of_words ws in
         ignore (alloc t g.gname (Some b) (String.length b))
 
-  let string_counter = ref 0
-
   let intern_string t s =
     match Hashtbl.find_opt t.strings s with
     | Some a -> a
     | None ->
-        incr string_counter;
-        let name = Printf.sprintf "__str%d" !string_counter in
+        t.interned <- t.interned + 1;
+        let name = Printf.sprintf "__str%d" t.interned in
         let a = alloc t name (Some (s ^ "\000")) (String.length s + 1) in
         Hashtbl.add t.strings s a;
         a

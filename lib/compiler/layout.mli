@@ -23,7 +23,10 @@ module Dataseg : sig
   val create : unit -> t
   val add_global : t -> Ir.global -> unit
   val intern_string : t -> string -> int64
-  (** Address of a NUL-terminated copy of the literal (deduplicated). *)
+  (** Address of a NUL-terminated copy of the literal (deduplicated).
+      Literals are named [__str1], [__str2], ... in the order this
+      segment first sees them, so a program's image does not depend on
+      what else the process compiled before it. *)
 
   val symbol : t -> string -> int64
   (** @raise Not_found for an unknown symbol. *)

@@ -15,8 +15,13 @@
     report field is byte-identical to the unbroken run, across single
     hart, SMP and traced shapes.
 
-    The on-disk format is versioned JSON ({!Results.json}); binary
-    payloads (memory pages, the marshalled image) are hex-encoded.
+    The on-disk format is versioned JSON ({!Results.json}).  Memory
+    pages, syscall argument and pipe bytes and the marshalled images
+    are hex-encoded; guest file contents ([world.files[].content] and
+    [world.objs[].state.content]) are written as JSON strings, with
+    bytes [>= 0x80] left raw, so a snapshot of a session whose files
+    hold such bytes is not valid UTF-8 JSON: {!Results.of_string} reads
+    it back, a strict UTF-8 parser does not.
     Each component is declared once, as a bidirectional codec from
     which both the encoder and the decoder are derived: records write
     their fields in declaration order, variants write their tag first

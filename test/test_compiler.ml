@@ -207,6 +207,21 @@ let count_prov image p = Shift_isa.Program.count_prov image.Image.program p
 
 let structure_tests =
   [
+    tc "string literals are numbered per compile" (fun () ->
+        let prog lits = Util.main_returning (List.map (fun l -> ret (str l)) lits) in
+        let strings image =
+          List.sort compare
+            (List.filter
+               (fun (name, _) -> String.starts_with ~prefix:"__str" name)
+               image.Image.symbols)
+        in
+        let first = compile (prog [ "a"; "b" ]) in
+        ignore (compile (prog [ "c"; "d"; "e" ]));
+        let again = compile (prog [ "a"; "b" ]) in
+        Util.check_bool "names restart at __str1" true
+          (List.map fst (strings again) = [ "__str1"; "__str2" ]);
+        Util.check_bool "same image bytes" true
+          (Marshal.to_string first [] = Marshal.to_string again []));
     tc "uninstrumented code has only Orig provenance" (fun () ->
         let image = Shift.Session.build ~mode:Mode.Uninstrumented fib_prog in
         List.iter
