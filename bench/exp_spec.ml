@@ -289,9 +289,9 @@ let lift () =
 let ablation () =
   header "Ablation: the SHIFT compiler's optimizations (word level, unsafe)";
   warm (List.concat_map (fun k -> [ baseline k; (k, word, true) ]) kernels);
-  let fresh_slowdown k =
-    (* bypass the cache: these knobs change generated code *)
-    let image = Shift.Session.build ~mode:word k.Spec.program in
+  let fresh_slowdown options k =
+    (* bypass the cache: these options change generated code *)
+    let image = Shift.Session.build ~options ~mode:word k.Spec.program in
     let report =
       Shift.Session.run_image ~policy:Policy.default ~fuel
         ~setup:(Spec.setup ~tainted:true k) image
@@ -299,21 +299,12 @@ let ablation () =
     float_of_int report.Shift.Report.stats.Shift_machine.Stats.cycles
     /. float_of_int (cycles_of ~tainted:false k Mode.Uninstrumented)
   in
-  (* The knob is written before the pool spawns and restored after it
-     joins, so the domains all see one consistent setting. *)
-  let under knob value =
-    let old = !knob in
-    knob := value;
-    Fun.protect ~finally:(fun () -> knob := old) (fun () ->
-        Pool.map fresh_slowdown kernels)
-  in
+  let under options = Pool.map (fresh_slowdown options) kernels in
+  let default = Shift_compiler.Compile.default_options in
   let optimized = List.map (fun k -> slowdown k word) kernels in
-  let no_analysis = under Shift_compiler.Instrument.relax_all_compares true in
-  let no_skip = under Shift_compiler.Instrument.skip_save_restore false in
-  let per_use =
-    under Shift_compiler.Instrument.nat_source_strategy
-      Shift_compiler.Instrument.Per_use
-  in
+  let no_analysis = under { default with relax_all_compares = true } in
+  let no_skip = under { default with skip_save_restore = false } in
+  let per_use = under { default with nat_source_strategy = Per_use } in
   let cols =
     List.map2
       (fun (k, o) (na, (ns, pu)) -> (k, o, na, ns, pu))

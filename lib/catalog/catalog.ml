@@ -101,7 +101,8 @@ let trace_job ~mode ~benign ~ring ~only ~superblocks ~backend name =
 
 (* [shiftc leak]'s variant starter: the attack-case config with the
    hardware trace on and flow tracing enabled (so a divergence can name
-   the tainted bytes steering it), under variant [i]'s input *)
+   the tainted bytes steering it), under variant [i]'s input.  The case
+   is compiled once here and every variant starts from that image. *)
 let leak_start ?(superblocks = true) ?(backend = Shift_tracking.Backend.Nat)
     ~mode name =
   Result.bind (find_case name) (fun (c : Case.t) ->
@@ -117,6 +118,7 @@ let leak_start ?(superblocks = true) ?(backend = Shift_tracking.Backend.Nat)
                      (fun (c : Case.t) -> c.Case.program_name)
                      Shift_attacks.Attacks.sidechannel)))
       | Some variant ->
+          let image = Case.image ~backend ~mode c in
           Ok
             (fun i ->
               Shift.Session.start
@@ -124,7 +126,7 @@ let leak_start ?(superblocks = true) ?(backend = Shift_tracking.Backend.Nat)
                   (Case.config ~trace:Shift.Flowtrace.default_options
                      ~hwtrace:true ~superblocks ~backend ~mode
                      ~input:(variant i) c)
-                (Case.image ~backend ~mode c)))
+                image))
 
 let leak_job ~mode ~clause ~variants ~superblocks ~backend name =
   Result.map

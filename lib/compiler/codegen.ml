@@ -78,6 +78,7 @@ type ctx = {
   epilogue : string;
   mutable temp_sp : int;
   mutable items : Program.item list; (* reversed *)
+  mutable data_refs : (Instr.t * string) list; (* movi of a data address, reversed *)
   mutable loops : (string * string) list; (* (break, continue) *)
   mutable labels : int;
   (* out-of-line recovery blocks for Guard statements: (recovery label,
@@ -87,6 +88,14 @@ type ctx = {
 
 let emit ctx op = ctx.items <- Program.I (Instr.mk op) :: ctx.items
 let emitq ctx qp op = ctx.items <- Program.I (Instr.mk ~qp op) :: ctx.items
+
+(* a [movi] of a data address, remembered with its symbol so the unit
+   can be relocated into another program's data segment *)
+let emit_data_addr ctx dst (sym, addr) =
+  let i = Instr.mk (Instr.Movi (dst, addr)) in
+  ctx.items <- Program.I i :: ctx.items;
+  ctx.data_refs <- (i, sym) :: ctx.data_refs
+
 let place_label ctx l = ctx.items <- Program.Label l :: ctx.items
 
 let fresh_label ctx hint =
@@ -171,9 +180,7 @@ let restore_regs ctx regs =
 let rec emit_expr ctx (e : Ir.expr) dst =
   match e with
   | Ir.Int v -> emit ctx (Instr.Movi (dst, v))
-  | Ir.Str s ->
-      let addr = Layout.Dataseg.intern_string ctx.dataseg s in
-      emit ctx (Instr.Movi (dst, addr))
+  | Ir.Str s -> emit_data_addr ctx dst (Layout.Dataseg.intern_string ctx.dataseg s)
   | Ir.Var x -> (
       match Hashtbl.find_opt ctx.var_reg x with
       | Some r -> emit ctx (Instr.Mov (dst, r))
@@ -188,7 +195,7 @@ let rec emit_expr ctx (e : Ir.expr) dst =
                   emit ctx (Instr.Arith (Instr.Add, dst, Reg.sp, Instr.Imm (Int64.of_int off)))
               | None -> (
                   match Layout.Dataseg.symbol ctx.dataseg x with
-                  | addr -> emit ctx (Instr.Movi (dst, addr))
+                  | addr -> emit_data_addr ctx dst (x, addr)
                   | exception Not_found -> err "unbound variable %S in %S" x ctx.fname))))
   | Ir.Load (w, a) ->
       emit_expr ctx a dst;
@@ -464,6 +471,7 @@ let gen_func dataseg (f : Ir.func) =
       epilogue = f.fname ^ "$epilogue";
       temp_sp = first_temp_reg;
       items = [];
+      data_refs = [];
       loops = [];
       labels = 0;
       recoveries = [];
@@ -501,7 +509,7 @@ let gen_func dataseg (f : Ir.func) =
         drain ()
   in
   drain ();
-  List.rev ctx.items
+  (List.rev ctx.items, List.rev ctx.data_refs)
 
 let gen_start () =
   [

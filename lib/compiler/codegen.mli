@@ -21,8 +21,12 @@ val externals : string list
 (** Intrinsic names, for {!Ir.validate}. *)
 
 val gen_func :
-  Layout.Dataseg.t -> Ir.func -> Shift_isa.Program.item list
-(** Compile one function into an item list beginning with its label. *)
+  Layout.Dataseg.t ->
+  Ir.func ->
+  Shift_isa.Program.item list * (Shift_isa.Instr.t * string) list
+(** Compile one function into an item list beginning with its label,
+    plus every [movi] in it whose immediate is a data address, with the
+    symbol it names, in emission order. *)
 
 val gen_start : unit -> Shift_isa.Program.item list
 (** The [_start] unit: set up the stack, call [main], halt. *)

@@ -64,37 +64,46 @@ let tag_mask_code ~prov ~gran ~width ra =
    §6.4, Table 3). *)
 let byte_straddles ~gran ~width:_ = gran = Gran.Byte
 
+type nat_source_strategy = Per_function | Per_use
+type pointer_policy = Fault_on_tainted_pointer | Propagate_pointer_taint
+
 (* Ablation knobs for the compiler-optimization benches (DESIGN.md):
    [relax_all_compares] disables the static taint analysis and relaxes
    every compare, the unoptimized translation the paper's §4.4 starts
    from; [skip_save_restore] can be turned off to also instrument the
-   compiler's own register save/restore spill traffic. *)
-let relax_all_compares = ref false
-let skip_save_restore = ref true
+   compiler's own register save/restore spill traffic.
 
-type nat_source_strategy = Per_function | Per_use
-
-(* §4.4's quantified observation: regenerating the NaT source at every
+   §4.4's quantified observation: regenerating the NaT source at every
    use (instead of keeping it in a reserved register per function)
    "degrades the performance by a factor of 3X".  [Per_use] reproduces
-   that costly strategy for the ablation bench. *)
-let nat_source_strategy = ref Per_function
+   that costly strategy for the ablation bench.
 
-type pointer_policy = Fault_on_tainted_pointer | Propagate_pointer_taint
-
-(* §3.3.2 "customizable policy for pointers": by default a tainted
+   §3.3.2 "customizable policy for pointers": by default a tainted
    address faults at its first use (policies L1/L2).  Under
    [Propagate_pointer_taint] the instrumentation strips the address
    tag before the access and folds it into the loaded value / stored
    tag instead, so tainted pointers dereference legally but their
    results stay tainted. *)
-let pointer_policy = ref Fault_on_tainted_pointer
+type options = {
+  relax_all_compares : bool;
+  skip_save_restore : bool;
+  nat_source_strategy : nat_source_strategy;
+  pointer_policy : pointer_policy;
+}
+
+let default_options =
+  {
+    relax_all_compares = false;
+    skip_save_restore = true;
+    nat_source_strategy = Per_function;
+    pointer_policy = Fault_on_tainted_pointer;
+  }
 
 (* returns (prelude, effective address register).  Under Propagate the
    prelude records the address tag in p8/p9 and leaves a stripped copy
    of the address in t6. *)
-let pointer_prelude ~prov ~enh ra =
-  match !pointer_policy with
+let pointer_prelude ~options ~prov ~enh ra =
+  match options.pointer_policy with
   | Fault_on_tainted_pointer -> ([], ra)
   | Propagate_pointer_taint ->
       let strip =
@@ -118,8 +127,8 @@ let store_may_clear ~gran ~width =
 
 (* Figure 5, load: consult the bitmap, do the real load, conditionally
    taint the target. *)
-let instrument_load ~gran ~enh (i : Instr.t) ~width ~dst ~addr =
-  let prelude, addr = pointer_prelude ~prov:Prov.Ld_compute ~enh addr in
+let instrument_load ~options ~gran ~enh (i : Instr.t) ~width ~dst ~addr =
+  let prelude, addr = pointer_prelude ~options ~prov:Prov.Ld_compute ~enh addr in
   let i =
     match i.op with
     | Instr.Ld l -> { i with op = Instr.Ld { l with addr } }
@@ -146,7 +155,7 @@ let instrument_load ~gran ~enh (i : Instr.t) ~width ~dst ~addr =
     ]
   @ (if enh.Mode.set_clear_nat then [ ins ~qp:p6 Prov.Ld_compute (Instr.Setnat dst) ]
      else
-       (match !nat_source_strategy with
+       (match options.nat_source_strategy with
        | Per_function -> []
        | Per_use ->
            (* the §4.4 worst case: conjure a fresh NaT source here *)
@@ -158,7 +167,7 @@ let instrument_load ~gran ~enh (i : Instr.t) ~width ~dst ~addr =
        @ [ ins ~qp:p6 Prov.Ld_compute (Instr.Arith (Instr.Add, dst, dst, Instr.R Reg.nat_src)) ])
   @
   (* Propagate pointer policy: a tainted address taints the value *)
-  match !pointer_policy with
+  match options.pointer_policy with
   | Fault_on_tainted_pointer -> []
   | Propagate_pointer_taint ->
       [
@@ -168,8 +177,8 @@ let instrument_load ~gran ~enh (i : Instr.t) ~width ~dst ~addr =
 
 (* Figure 5, store: test the source NaT, read-modify-write the bitmap,
    do the real store as a spill so a tainted source does not fault. *)
-let instrument_store ~gran ~enh (i : Instr.t) ~width ~addr ~src ~spill:_ =
-  let prelude, addr = pointer_prelude ~prov:Prov.St_compute ~enh addr in
+let instrument_store ~options ~gran ~enh (i : Instr.t) ~width ~addr ~src ~spill:_ =
+  let prelude, addr = pointer_prelude ~options ~prov:Prov.St_compute ~enh addr in
   let real_store =
     match i.op with
     | Instr.St s -> { i with op = Instr.St { s with addr; spill = true } }
@@ -183,7 +192,7 @@ let instrument_store ~gran ~enh (i : Instr.t) ~width ~addr ~src ~spill:_ =
     @
     (* Propagate pointer policy: a store through a tainted pointer
        taints the stored-to location regardless of the source *)
-    match !pointer_policy with
+    match options.pointer_policy with
     | Fault_on_tainted_pointer -> []
     | Propagate_pointer_taint ->
         [ ins ~qp:p8 Prov.St_compute (Instr.Arith (Instr.Or, t3, t3, Instr.R t5)) ]
@@ -339,9 +348,9 @@ let dbt_instrument ~gran (i : Instr.t) =
 
 (* ------------------------------------------------------------------ *)
 
-let shift_instrument ~gran ~enh ~analysis ~index (i : Instr.t) =
+let shift_instrument ~options ~gran ~enh ~analysis ~index (i : Instr.t) =
   let tainted r =
-    !relax_all_compares || Taint_analysis.may_be_tainted analysis ~index r
+    options.relax_all_compares || Taint_analysis.may_be_tainted analysis ~index r
   in
   match i.op with
   | Instr.Clrnat r ->
@@ -360,7 +369,7 @@ let shift_instrument ~gran ~enh ~analysis ~index (i : Instr.t) =
          register *)
       if enh.Mode.set_clear_nat then [ ins Prov.Nat_gen (Instr.Setnat r) ]
       else [ ins Prov.Nat_gen (Instr.Arith (Instr.Add, r, r, Instr.R Reg.nat_src)) ]
-  | (Instr.Ld { fill = true; _ } | Instr.St { spill = true; _ }) when !skip_save_restore ->
+  | (Instr.Ld { fill = true; _ } | Instr.St { spill = true; _ }) when options.skip_save_restore ->
       (* the compiler's own register save/restore traffic: the NaT bit
          rides through UNAT and the save slots are never read by
          anything else, so the bitmap needs no update (the compiler
@@ -368,10 +377,10 @@ let shift_instrument ~gran ~enh ~analysis ~index (i : Instr.t) =
       [ Program.I i ]
   | Instr.Ld { width; dst; addr; spec; fill = _ } when not spec ->
       assert (i.qp = Pred.p0);
-      instrument_load ~gran ~enh i ~width ~dst ~addr
+      instrument_load ~options ~gran ~enh i ~width ~dst ~addr
   | Instr.St { width; addr; src; spill } ->
       assert (i.qp = Pred.p0);
-      instrument_store ~gran ~enh i ~width ~addr ~src ~spill
+      instrument_store ~options ~gran ~enh i ~width ~addr ~src ~spill
   | Instr.Cmp { cond; pt; pf; src1; src2; taint_aware = false }
     when tainted src1 || (match src2 with Instr.R r -> tainted r | Instr.Imm _ -> false) ->
       (* only compares whose operands may carry a tag need relaxing;
@@ -381,7 +390,7 @@ let shift_instrument ~gran ~enh ~analysis ~index (i : Instr.t) =
       instrument_cmp ~enh i ~cond ~cpt:pt ~cpf:pf ~src1 ~src2
   | _ -> [ Program.I i ]
 
-let instrument ~mode ?(keep_taint_markers = false) ~scratch_addr ~is_start items =
+let instrument ~mode ~options ~keep_taint_markers ~scratch_addr ~is_start items =
   match mode with
   | Mode.Uninstrumented ->
       (* taint markers have no meaning (and a stray NaT would fault), so
@@ -406,7 +415,7 @@ let instrument ~mode ?(keep_taint_markers = false) ~scratch_addr ~is_start items
             | Program.Label _ -> [ item ]
             | Program.I i when i.Instr.prov = Prov.Orig ->
                 incr index;
-                shift_instrument ~gran:granularity ~enh ~analysis ~index:!index i
+                shift_instrument ~options ~gran:granularity ~enh ~analysis ~index:!index i
             | Program.I _ ->
                 incr index;
                 [ item ])

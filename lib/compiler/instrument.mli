@@ -20,53 +20,17 @@
     The software-DBT mode instead rewrites {e every} instruction to
     maintain a register shadow-tag table in memory, LIFT-style. *)
 
-val instrument :
-  mode:Mode.t ->
-  ?keep_taint_markers:bool ->
-  scratch_addr:int64 ->
-  is_start:bool ->
-  Shift_isa.Program.item list ->
-  Shift_isa.Program.item list
-(** Rewrite one unit (the item list of a single function).
+(** {1 Options}
 
-    [keep_taint_markers] (default [false]) only matters under
-    [Mode.Uninstrumented]: the Orig-provenance [setnat]/[clrnat] taint
-    markers (the [untaint] builtin, tainted-return sources) are normally
-    dropped there, but a decoupled tag backend needs them kept in the
-    stream as coprocessor directives — the machine then skips the
-    actual NaT write, so no stray NaT can fault. *)
-
-val support_units : mode:Mode.t -> Shift_isa.Program.item list
-(** Extra units a mode needs (the software-DBT alert stub). *)
-
-val invalid_address : int64
-(** The faked non-canonical address used to conjure a NaT bit. *)
-
-(** {1 Ablation knobs}
-
-    Compiler-optimization ablations for the benchmark harness.  Both
-    default to the optimized setting; flip them (and recompile) to
-    measure the design choices. *)
-
-val relax_all_compares : bool ref
-(** [true]: relax every compare instead of only those the static taint
-    analysis cannot prove clean (default [false]). *)
-
-val skip_save_restore : bool ref
-(** [false]: also instrument the compiler's register save/restore
-    spill/fill traffic (default [true] = skip it; the NaT bit rides in
-    UNAT). *)
-
-(** {1 NaT-source strategy (§4.4)} *)
+    Compiler-optimization ablations for the benchmark harness, the
+    §4.4 NaT-source strategy and the §3.3.2 pointer policy.  They are
+    inputs of a compile like its mode: {!default_options} is the
+    optimized setting with the default pointer policy. *)
 
 type nat_source_strategy =
   | Per_function  (** default: one speculative-load sequence per entry *)
   | Per_use       (** regenerate at every tainting site — the strategy
                       the paper measured at ~3X degradation *)
-
-val nat_source_strategy : nat_source_strategy ref
-
-(** {1 Pointer policy (§3.3.2)} *)
 
 type pointer_policy =
   | Fault_on_tainted_pointer
@@ -76,4 +40,42 @@ type pointer_policy =
           accessed data's tag instead: tainted pointers dereference
           legally, results stay tainted *)
 
-val pointer_policy : pointer_policy ref
+type options = {
+  relax_all_compares : bool;
+      (** [true]: relax every compare instead of only those the static
+          taint analysis cannot prove clean (default [false]) *)
+  skip_save_restore : bool;
+      (** [false]: also instrument the compiler's register
+          save/restore spill/fill traffic (default [true] = skip it;
+          the NaT bit rides in UNAT) *)
+  nat_source_strategy : nat_source_strategy;  (** default [Per_function] *)
+  pointer_policy : pointer_policy;  (** default [Fault_on_tainted_pointer] *)
+}
+
+val default_options : options
+
+val instrument :
+  mode:Mode.t ->
+  options:options ->
+  keep_taint_markers:bool ->
+  scratch_addr:int64 ->
+  is_start:bool ->
+  Shift_isa.Program.item list ->
+  Shift_isa.Program.item list
+(** Rewrite one unit (the item list of a single function).
+
+    [keep_taint_markers] only matters under [Mode.Uninstrumented]: the
+    Orig-provenance [setnat]/[clrnat] taint markers (the [untaint]
+    builtin, tainted-return sources) are normally dropped there, but a
+    decoupled tag backend needs them kept in the stream as coprocessor
+    directives — the machine then skips the actual NaT write, so no
+    stray NaT can fault.
+
+    Instructions the pass leaves alone come out as the same physical
+    records that went in. *)
+
+val support_units : mode:Mode.t -> Shift_isa.Program.item list
+(** Extra units a mode needs (the software-DBT alert stub). *)
+
+val invalid_address : int64
+(** The faked non-canonical address used to conjure a NaT bit. *)

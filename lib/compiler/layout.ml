@@ -4,14 +4,25 @@ let heap_base = region1 0x2000_0000L
 let stack_top = region1 0x4000_0000L
 let shadow_base = Shift_mem.Addr.in_region 3 0x10000L
 let scratch_symbol = "__scratch"
+let literal_prefix = "__str"
+
+let is_reserved name =
+  name = scratch_symbol
+  ||
+  let n = String.length literal_prefix in
+  String.length name > n
+  && String.sub name 0 n = literal_prefix
+  && String.for_all (function '0' .. '9' -> true | _ -> false)
+       (String.sub name n (String.length name - n))
 
 module Dataseg = struct
   type t = {
     mutable next : int64;
     mutable chunks : (int64 * string) list;
     mutable interned : int;  (* string literals named so far: __str1.. *)
+    mutable literals : string list;  (* their contents, newest first *)
     symbols : (string, int64) Hashtbl.t;
-    strings : (string, int64) Hashtbl.t;
+    strings : (string, string * int64) Hashtbl.t;
   }
 
   let align8 n = Int64.logand (Int64.add n 7L) (Int64.lognot 7L)
@@ -22,6 +33,7 @@ module Dataseg = struct
         next = data_base;
         chunks = [];
         interned = 0;
+        literals = [];
         symbols = Hashtbl.create 64;
         strings = Hashtbl.create 64;
       }
@@ -58,13 +70,16 @@ module Dataseg = struct
 
   let intern_string t s =
     match Hashtbl.find_opt t.strings s with
-    | Some a -> a
+    | Some named -> named
     | None ->
         t.interned <- t.interned + 1;
-        let name = Printf.sprintf "__str%d" t.interned in
-        let a = alloc t name (Some (s ^ "\000")) (String.length s + 1) in
-        Hashtbl.add t.strings s a;
-        a
+        t.literals <- s :: t.literals;
+        let name = Printf.sprintf "%s%d" literal_prefix t.interned in
+        let named = (name, alloc t name (Some (s ^ "\000")) (String.length s + 1)) in
+        Hashtbl.add t.strings s named;
+        named
+
+  let literals t = List.rev t.literals
 
   let symbol t name = Hashtbl.find t.symbols name
   let chunks t = List.rev t.chunks

@@ -14,6 +14,11 @@ val scratch_symbol : string
 (** Name of the 8-byte scratch slot used by NaT-stripping spill/fill
     sequences; every data segment contains it. *)
 
+val is_reserved : string -> bool
+(** Whether a data name belongs to the compiler: {!scratch_symbol} and
+    the string-literal names [__str1], [__str2], ...  A program global
+    may not use one. *)
+
 (** Mutable data-segment builder: bump-allocates globals and interned
     string literals, accumulating initialised chunks and a symbol
     table. *)
@@ -22,14 +27,21 @@ module Dataseg : sig
 
   val create : unit -> t
   val add_global : t -> Ir.global -> unit
-  val intern_string : t -> string -> int64
-  (** Address of a NUL-terminated copy of the literal (deduplicated).
-      Literals are named [__str1], [__str2], ... in the order this
-      segment first sees them, so a program's image does not depend on
-      what else the process compiled before it. *)
+  val intern_string : t -> string -> string * int64
+  (** Symbol and address of a NUL-terminated copy of the literal
+      (deduplicated).  Literals are named [__str1], [__str2], ... in the
+      order this segment first sees them, so a program's image does not
+      depend on what else the process compiled before it. *)
+
+  val literals : t -> string list
+  (** The interned literals, in the order they were first seen.
+      Interning them in this order into another segment reproduces
+      their names. *)
 
   val symbol : t -> string -> int64
-  (** @raise Not_found for an unknown symbol. *)
+  (** The address the segment stores for the symbol: the same boxed
+      value that its {!chunks} and {!symbols} carry.
+      @raise Not_found for an unknown symbol. *)
 
   val chunks : t -> (int64 * string) list
   (** Initialised data as (address, bytes) pairs. *)

@@ -120,13 +120,19 @@ val effective_mode :
 
 val build :
   ?with_runtime:bool ->
+  ?options:Shift_compiler.Compile.options ->
   ?taint_returns:string list ->
   ?backend:Shift_tracking.Backend.t ->
   mode:Shift_compiler.Mode.t ->
   Ir.program ->
   Shift_compiler.Image.t
-(** Compile and link.  [with_runtime] (default true) merges in the
-    {!Shift_runtime.Runtime} library.  [taint_returns] lists functions
+(** Compile and link.  [with_runtime] (default true) links in the
+    {!Shift_runtime.Runtime} library.  The library is compiled once per
+    mode, options, marker setting and the [taint_returns] entries it
+    calls, memoised process-wide (safe across domains), and the image is
+    byte-identical to compiling the merged program from scratch.
+    [options] (default {!Shift_compiler.Compile.default_options}) selects
+    the instrumentation variant.  [taint_returns] lists functions
     whose return values are taint sources (paper §3.3.1, source 4).
     [backend] (default [nat]) applies {!effective_mode} and, for the
     tag coprocessor, keeps the Orig-provenance taint markers in the

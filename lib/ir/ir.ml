@@ -55,6 +55,23 @@ let empty = { globals = []; funcs = [] }
 
 let merge a b = { globals = a.globals @ b.globals; funcs = a.funcs @ b.funcs }
 
+let callees p =
+  let rec expr acc = function
+    | Int _ | Str _ | Var _ | Fnptr _ -> acc
+    | Load (_, e) | Unop (_, e) -> expr acc e
+    | Binop (_, a, b) -> expr (expr acc a) b
+    | Call (f, args) -> List.fold_left expr (f :: acc) args
+    | Icall (f, args) -> List.fold_left expr (expr acc f) args
+  in
+  let rec stmt acc = function
+    | Assign (_, e) | Return (Some e) | Expr e -> expr acc e
+    | Store (_, a, v) -> expr (expr acc a) v
+    | If (c, bt, bf) -> block (block (expr acc c) bt) bf
+    | While (c, b) | Guard (c, b) -> block (expr acc c) b
+    | Return None | Break | Continue -> acc
+  and block acc b = List.fold_left stmt acc b in
+  List.sort_uniq compare (List.fold_left (fun acc f -> block acc f.body) [] p.funcs)
+
 let find_func p name = List.find_opt (fun f -> f.fname = name) p.funcs
 
 exception Invalid of string

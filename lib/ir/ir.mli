@@ -83,6 +83,10 @@ val merge : program -> program -> program
 (** Concatenate globals and functions (used to link the runtime
     library with application code). *)
 
+val callees : program -> string list
+(** Every name a [Call] in the program names, intrinsics included,
+    sorted and without duplicates. *)
+
 val find_func : program -> string -> func option
 
 exception Invalid of string

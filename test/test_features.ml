@@ -4,7 +4,6 @@
 open Build
 open Build.Infix
 module Mode = Shift_compiler.Mode
-module Instrument = Shift_compiler.Instrument
 
 let tc = Util.tc
 
@@ -154,10 +153,8 @@ let untaint_tests =
 
 (* ---------- pointer policy ---------- *)
 
-let with_pointer_policy p f =
-  let old = !Instrument.pointer_policy in
-  Instrument.pointer_policy := p;
-  Fun.protect ~finally:(fun () -> Instrument.pointer_policy := old) f
+let propagate =
+  { Shift_compiler.Compile.default_options with pointer_policy = Propagate_pointer_taint }
 
 (* reads a value through a tainted pointer, then feeds the result to a
    string sink *)
@@ -181,24 +178,21 @@ let pointer_policy_tests =
             Alcotest.(check string) "L1" "L1" a.Shift_policy.Alert.policy
         | o -> Alcotest.failf "expected L1, got %a" Shift.Report.pp_outcome o);
     tc "propagate policy dereferences and taints the result" (fun () ->
-        with_pointer_policy Instrument.Propagate_pointer_taint (fun () ->
-            (* 1000 * (stored byte tainted) + 'p' *)
-            Util.check_i64 "value read, result tainted"
-              (Int64.of_int (1000 + Char.code 'p'))
-              (Util.exit_code (Util.run_prog ~mode:Mode.shift_word tainted_ptr_prog))));
+        (* 1000 * (stored byte tainted) + 'p' *)
+        Util.check_i64 "value read, result tainted"
+          (Int64.of_int (1000 + Char.code 'p'))
+          (Util.exit_code (Util.run_prog ~options:propagate ~mode:Mode.shift_word tainted_ptr_prog)));
     tc "propagate policy works at byte granularity" (fun () ->
-        with_pointer_policy Instrument.Propagate_pointer_taint (fun () ->
-            Util.check_i64 "byte too"
-              (Int64.of_int (1000 + Char.code 'p'))
-              (Util.exit_code (Util.run_prog ~mode:Mode.shift_byte tainted_ptr_prog))));
+        Util.check_i64 "byte too"
+          (Int64.of_int (1000 + Char.code 'p'))
+          (Util.exit_code (Util.run_prog ~options:propagate ~mode:Mode.shift_byte tainted_ptr_prog)));
     tc "propagate policy with the enhanced ISA" (fun () ->
-        with_pointer_policy Instrument.Propagate_pointer_taint (fun () ->
-            Util.check_i64 "enh"
-              (Int64.of_int (1000 + Char.code 'p'))
-              (Util.exit_code
-                 (Util.run_prog
-                    ~mode:(Mode.Shift { granularity = Shift_mem.Granularity.Word; enh = Mode.enh_both })
-                    tainted_ptr_prog))));
+        Util.check_i64 "enh"
+          (Int64.of_int (1000 + Char.code 'p'))
+          (Util.exit_code
+             (Util.run_prog ~options:propagate
+                ~mode:(Mode.Shift { granularity = Shift_mem.Granularity.Word; enh = Mode.enh_both })
+                tainted_ptr_prog)));
     tc "propagate: store through tainted pointer taints the location" (fun () ->
         let prog =
           Util.main_returning ~locals:[ array "slotbuf" 16; array "data" 16; scalar "p" ]
@@ -210,20 +204,18 @@ let pointer_policy_tests =
               ret (call "sys_taint_chk" [ v "data"; i 8 ]);
             ]
         in
-        with_pointer_policy Instrument.Propagate_pointer_taint (fun () ->
-            Util.check_bool "location tainted" true
-              (Util.exit_code (Util.run_prog ~mode:Mode.shift_word prog) > 0L)));
+        Util.check_bool "location tainted" true
+          (Util.exit_code (Util.run_prog ~options:propagate ~mode:Mode.shift_word prog) > 0L));
     tc "clean pointers are unaffected by the propagate policy" (fun () ->
-        with_pointer_policy Instrument.Propagate_pointer_taint (fun () ->
-            let prog =
-              Util.main_returning ~locals:[ array "data" 16 ]
-                [
-                  store64 (v "data") (i 11);
-                  ret ((call "sys_taint_chk" [ v "data"; i 8 ] *: i 100) +: load64 (v "data"));
-                ]
-            in
-            Util.check_i64 "clean" 11L
-              (Util.exit_code (Util.run_prog ~mode:Mode.shift_word prog))));
+        let prog =
+          Util.main_returning ~locals:[ array "data" 16 ]
+            [
+              store64 (v "data") (i 11);
+              ret ((call "sys_taint_chk" [ v "data"; i 8 ] *: i 100) +: load64 (v "data"));
+            ]
+        in
+        Util.check_i64 "clean" 11L
+          (Util.exit_code (Util.run_prog ~options:propagate ~mode:Mode.shift_word prog)));
   ]
 
 let suites =

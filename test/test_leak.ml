@@ -137,6 +137,14 @@ let detector_cases =
           Shift.Results.to_string (Leak.verdict_to_json (detect ~count:3 "aes-table"))
         in
         Alcotest.(check string) "byte-identical" (json ()) (json ()));
+    tc "every variant starts from one compiled image" (fun () ->
+        match Catalog.leak_start ~mode:Mode.shift_word "aes-table" with
+        | Error e -> Alcotest.fail e
+        | Ok start ->
+            let program i =
+              (Shift_machine.Exec.hart0 (Shift.Session.engine (start i))).program
+            in
+            Alcotest.(check bool) "same program" true (program 0 == program 1));
     tc "cases carry no taint alert of their own" (fun () ->
         (* the whole point: DIFT alone sees nothing here *)
         let r = Shift.Session.report (run_to_end (start_variant "aes-table" 0)) in

@@ -127,21 +127,20 @@ let return_taint_tests =
                 ];
             }
           in
-          let old = !Shift_compiler.Instrument.pointer_policy in
-          Shift_compiler.Instrument.pointer_policy :=
-            Shift_compiler.Instrument.Propagate_pointer_taint;
-          Fun.protect
-            ~finally:(fun () -> Shift_compiler.Instrument.pointer_policy := old)
-            (fun () ->
-              match
-                (Shift.Session.run ~taint_returns:[ "fetch_remote" ] ~mode:Mode.shift_byte
-                   ~policy:{ Shift_policy.Policy.default with Shift_policy.Policy.h3 = true }
-                   prog)
-                  .outcome
-              with
-              | Shift.Report.Alert a ->
-                  Alcotest.(check string) "H3" "H3" a.Shift_policy.Alert.policy
-              | o -> Alcotest.failf "expected H3, got %a" Shift.Report.pp_outcome o));
+          let options =
+            { Shift_compiler.Compile.default_options with
+              pointer_policy = Propagate_pointer_taint }
+          in
+          match
+            (Shift.Session.run_image
+               ~policy:{ Shift_policy.Policy.default with Shift_policy.Policy.h3 = true }
+               (Shift.Session.build ~options ~taint_returns:[ "fetch_remote" ]
+                  ~mode:Mode.shift_byte prog))
+              .outcome
+          with
+          | Shift.Report.Alert a ->
+              Alcotest.(check string) "H3" "H3" a.Shift_policy.Alert.policy
+          | o -> Alcotest.failf "expected H3, got %a" Shift.Report.pp_outcome o);
     ]
 
 let suites =

@@ -9,8 +9,9 @@ let tc name f = Alcotest.test_case name `Quick f
 
 (* Run a tiny guest program (with the runtime linked) and return its
    report. *)
-let run_prog ?policy ?setup ?(mode = Shift_compiler.Mode.Uninstrumented) prog =
-  Shift.Session.run ?policy ?setup ~fuel:200_000_000 ~mode prog
+let run_prog ?options ?policy ?setup ?(mode = Shift_compiler.Mode.Uninstrumented) prog =
+  Shift.Session.run_image ?policy ?setup ~fuel:200_000_000
+    (Shift.Session.build ?options ~mode prog)
 
 let exit_code (r : Shift.Report.t) =
   match r.outcome with
