@@ -172,10 +172,6 @@ let compile ?(mode = Mode.Uninstrumented) ?(options = default_options) ?(taint_r
            @ [ Instrument.support_units ~mode ]))
     with Program.Assembly_error msg -> raise (Error msg)
   in
-  {
-    Image.program;
-    data = Layout.Dataseg.chunks dataseg;
-    symbols = Layout.Dataseg.symbols dataseg;
-    mode;
-    func_sizes = List.map (fun u -> (u.name, u.size)) units;
-  }
+  Image.make ~program ~data:(Layout.Dataseg.chunks dataseg)
+    ~symbols:(Layout.Dataseg.symbols dataseg) ~mode
+    ~func_sizes:(List.map (fun u -> (u.name, u.size)) units)

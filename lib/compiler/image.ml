@@ -4,7 +4,21 @@ type t = {
   symbols : (string * int64) list;
   mode : Mode.t;
   func_sizes : (string * int) list;
+  code : Shift_machine.Cpu.code option Atomic.t;
 }
+
+let make ~program ~data ~symbols ~mode ~func_sizes =
+  { program; data; symbols; mode; func_sizes; code = Atomic.make None }
+
+(* Built by the first session to start, then shared; two domains racing
+   here may both decode, and the first to publish wins. *)
+let code t =
+  match Atomic.get t.code with
+  | Some c -> c
+  | None ->
+      let c = Shift_machine.Cpu.code_of_program t.program in
+      if Atomic.compare_and_set t.code None (Some c) then c
+      else Option.get (Atomic.get t.code)
 
 let code_size t = Shift_isa.Program.size t.program
 

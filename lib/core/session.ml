@@ -148,7 +148,7 @@ let build ?(with_runtime = true) ?(options = Compile.default_options) ?(taint_re
   Compile.compile ~mode ~options ~taint_returns ~keep_taint_markers ?lib prog
 
 let load (image : Image.t) =
-  let cpu = Cpu.create image.program in
+  let cpu = Cpu.of_code (Image.code image) in
   List.iter
     (fun (addr, bytes) -> Shift_mem.Memory.write_bytes cpu.Cpu.mem addr bytes)
     image.data;
@@ -430,8 +430,8 @@ let restore (snap : Snapshot.t) =
         Some ft
     | None -> None
   in
-  let make_cpu_on mem program hart =
-    let cpu = Cpu.create ~mem program in
+  let make_cpu_on mem image hart =
+    let cpu = Cpu.of_code ~mem (Image.code image) in
     cpu.Cpu.sb.Cpu.sb_on <- config.Config.superblocks;
     cpu.Cpu.tracking <- tracking;
     Snapshot.import_cpu hart cpu;
@@ -439,7 +439,7 @@ let restore (snap : Snapshot.t) =
     (match flowtrace with Some ft -> cpu.Cpu.flowtrace <- ft | None -> ());
     cpu
   in
-  let make_cpu hart = make_cpu_on mem image.program hart in
+  let make_cpu hart = make_cpu_on mem image hart in
   let engine, procs =
     match snap.Snapshot.machine with
     | Snapshot.M_cpu hart -> (Exec.of_cpu (make_cpu hart), None)
@@ -467,12 +467,12 @@ let restore (snap : Snapshot.t) =
         let parts =
           List.map
             (fun (ps : Snapshot.proc_snap) ->
-              let program =
+              let pimage =
                 match ps.Snapshot.ps_image with
-                | None -> image.Image.program
+                | None -> image
                 | Some name -> (
                     match List.assoc_opt name sc.Snapshot.c_images with
-                    | Some (img : Image.t) -> img.Image.program
+                    | Some img -> img
                     | None ->
                         invalid_arg
                           (Printf.sprintf
@@ -484,7 +484,7 @@ let restore (snap : Snapshot.t) =
                  shadow; its pages were dumped per-process *)
               let pmem = Shift_mem.Memory.create () in
               Snapshot.load_memory pmem ps.Snapshot.ps_mem;
-              let cpu = make_cpu_on pmem program ps.Snapshot.ps_hart in
+              let cpu = make_cpu_on pmem pimage ps.Snapshot.ps_hart in
               let pmap = Shift_mem.Provenance.create () in
               Snapshot.load_provenance pmap ps.Snapshot.ps_prov;
               let ctx =

@@ -141,8 +141,9 @@ val build :
     @raise Shift_compiler.Compile.Error on invalid programs. *)
 
 val load : Shift_compiler.Image.t -> Shift_machine.Cpu.t
-(** Fresh machine with the image's initialised data written to
-    memory. *)
+(** Fresh machine running the image's shared code
+    ({!Shift_compiler.Image.code}, warm blocks included), with the
+    image's initialised data written to memory. *)
 
 (** {1 Resumable sessions}
 
@@ -234,7 +235,9 @@ val restore : Snapshot.t -> live
 (** Rebuild a live session from a snapshot: fresh machine, memory, OS
     world and (when traced) flow state, all overwritten with the
     snapshot's contents.  The configured world-setup closure is {e not}
-    re-run — its effects are already part of the captured state. *)
+    re-run — its effects are already part of the captured state.  The
+    machines run the snapshot image's code: a snapshot taken in memory
+    by {!checkpoint} resumes on the blocks its session compiled. *)
 
 (** {1 Historical entry points}
 

@@ -344,6 +344,18 @@ module Codec = struct
         with Failure _ | Invalid_argument _ -> bad "corrupt embedded %s" what)
       hex
 
+  (* An image as its content alone: the five fields in declaration
+     order, which marshal to the bytes the whole record did before it
+     carried derived code.  A decoded image builds its code afresh. *)
+  let image what =
+    conv
+      (fun (i : Image.t) ->
+        (i.Image.program, i.Image.data, i.Image.symbols, i.Image.mode,
+         i.Image.func_sizes))
+      (fun (program, data, symbols, mode, func_sizes) ->
+        Image.make ~program ~data ~symbols ~mode ~func_sizes)
+      (marshalled what)
+
   (* a closed set of names *)
   let enum what to_string of_string =
     conv to_string
@@ -662,7 +674,7 @@ let config =
   let backend =
     enum "backend" Backend.to_string (fun s ->
         Result.to_option (Backend.of_string s))
-  and aux_image = obj2 ("name", string) ("image", marshalled "aux image") in
+  and aux_image = obj2 ("name", string) ("image", image "aux image") in
   record
     (fun c_policy c_io_cost c_fuel c_threading c_trace c_superblocks c_hwtrace
          c_backend c_images c_coproc_capacity c_coproc_drain_rate
@@ -1054,7 +1066,7 @@ let snapshot =
   |+ field "config" config (fun t -> t.config)
   |+ field "fuel_left" int (fun t -> t.fuel_left)
   |+ field "result" (option outcome) (fun t -> t.result)
-  |+ field "image" (marshalled "image") (fun t -> t.image)
+  |+ field "image" (image "image") (fun t -> t.image)
   |+ field "memory" pages (fun t -> t.memory)
   |+ field "machine" machine (fun t -> t.machine)
   |+ field "world" world (fun t -> t.world)

@@ -58,9 +58,10 @@ type config = {
           records from the restore point on), and the flag is serialised
           only when on so untraced snapshots keep their bytes *)
   c_superblocks : bool;
-      (** whether the superblock compiler may run; the block cache itself
-          is derived state and never snapshotted (a restored machine
-          starts cold with identical simulated counters) *)
+      (** whether the superblock compiler may run; the blocks themselves
+          belong to the image's code and are never written (an
+          in-memory snapshot hands the image, code included, to the
+          restored session; a decoded one builds fresh code) *)
   c_backend : Shift_tracking.Backend.t;
       (** tracking backend; serialised only when not the default [Nat],
           so nat snapshots stay byte-identical to pre-backend ones *)

@@ -4,6 +4,7 @@ module Tracking = Shift_tracking.Tracking
 type t = {
   program : Program.t;
   decoded : Decode.t;
+  code : code;
   mem : Shift_mem.Memory.t;
   values : int64 array;
   nats : bool array;
@@ -22,15 +23,26 @@ type t = {
   mutable tracking : Tracking.t;
 }
 
-(* Superblock compiler state (see {!Superblock}).  Lives on the machine
-   so the block cache follows the hart, but it is a *derived* cache:
-   nothing here is ever snapshotted, and a restored machine starts cold
-   with identical simulated counters. *)
+(* The program's code: decoded once and shared, with its block tables,
+   by every machine that runs it (see {!Superblock}).  Nothing in it
+   refers to a machine, so it outlives none. *)
+and code = {
+  code_program : Program.t;
+  code_decoded : Decode.t;
+  code_tables : sb_block option array array;  (* per block key; [||] until used *)
+  code_lock : Mutex.t;                         (* serialises table publication *)
+}
+
+(* Per-machine superblock state: heat, counters, and which table this
+   machine dispatches through. *)
 and sb = {
   mutable sb_on : bool;
   sb_hot : int array;                      (* per-entry-pc execution counts *)
-  sb_blocks : sb_block option array;       (* compiled block per entry pc *)
-  mutable sb_watched : bool;               (* memory write-watch registered *)
+  mutable sb_blocks : sb_block option array;
+      (* the code's shared table for [sb_key], or this machine's private
+         copy once its guest wrote the code region *)
+  mutable sb_key : int;                    (* block key selected; -1 = none yet *)
+  mutable sb_private : bool;               (* [sb_blocks] is a private copy *)
   sb_stats : Stats.superblocks;
 }
 
@@ -38,7 +50,6 @@ and sb_block = {
   sb_entry : int;
   sb_len : int;
   sb_ft : bool;              (* flowtrace.enabled the block was compiled for *)
-  sb_tk : Tracking.t;        (* tracking handle the tag mirror was bound to *)
   sb_provs : int array;      (* per-instruction provenance index, for unwinds *)
   sb_prov_counts : int array;(* per-provenance slot counts for the whole block *)
   sb_body : t -> unit;       (* straight-line compiled body *)
@@ -58,13 +69,26 @@ let chk_penalty = 5
 let syscall_overhead = 100
 let call_stack_limit = 100_000
 
-let create ?(entry = "_start") ?mem program =
+(* two Flowtrace settings times three backend profiles (plain, tag
+   mirror, tag mirror with low-level checks) *)
+let block_keys = 6
+
+let code_of_program program =
+  {
+    code_program = program;
+    code_decoded = Decode.of_program program;
+    code_tables = Array.make block_keys [||];
+    code_lock = Mutex.create ();
+  }
+
+let of_code ?(entry = "_start") ?mem code =
+  let program = code.code_program in
   let preds = Array.make Pred.count false in
   preds.(Pred.p0) <- true;
-  let size = Program.size program in
   {
     program;
-    decoded = Decode.of_program program;
+    decoded = code.code_decoded;
+    code;
     mem = (match mem with Some m -> m | None -> Shift_mem.Memory.create ());
     values = Array.make Reg.count 0L;
     nats = Array.make Reg.count false;
@@ -82,13 +106,16 @@ let create ?(entry = "_start") ?mem program =
     sb =
       {
         sb_on = true;
-        sb_hot = Array.make size 0;
-        sb_blocks = Array.make size None;
-        sb_watched = false;
+        sb_hot = Array.make (Program.size program) 0;
+        sb_blocks = [||];
+        sb_key = -1;
+        sb_private = false;
         sb_stats = Stats.sb_create ();
       };
     tracking = Tracking.default;
   }
+
+let create ?entry ?mem program = of_code ?entry ?mem (code_of_program program)
 
 let get_value t r = t.values.(r)
 

@@ -19,6 +19,9 @@
 type t = {
   program : Shift_isa.Program.t;
   decoded : Decode.t;  (** per-instruction fast-path records, see {!Decode} *)
+  code : code;
+      (** the program's shared code; [program] and [decoded] alias its
+          fields for the interpreter's hot loop *)
   mem : Shift_mem.Memory.t;
   values : int64 array;
   nats : bool array;
@@ -37,26 +40,54 @@ type t = {
           When live, every cache access recorded via {!touch_cache}
           appends an entry — from either execution engine. *)
   call_stack : (int * int64) Stack.t;
-  sb : sb;  (** superblock compiler state; a derived cache, never snapshotted *)
+  sb : sb;  (** this machine's superblock state; never snapshotted *)
   mutable tracking : Shift_tracking.Tracking.t;
       (** Taint-tracking backend handle ({!Shift_tracking.Tracking.default}
           — an inert [nat] handle — until a session installs its own).
           Under the [coproc] backend the hot loop mirrors each retiring
           instruction into a tag-queue record; under [nat]/[none] the
           hook is a single never-taken branch.  SMP harts share one
-          handle (one coprocessor per machine). *)
+          handle (one coprocessor per machine).  Compiled blocks read it
+          from here at run time, so they bind no session. *)
 }
 
-(** State of the dynamic superblock compiler (driven by {!Superblock}).
-    Everything here is derivable from the program and the run so far:
-    snapshots skip it, and a restored machine starts with a cold block
-    cache yet byte-identical simulated counters. *)
+(** A program's code: the decoded program and the superblock block
+    tables, built once per image ([Image.code]) and shared by every
+    machine that runs it — a restored session, forked children, SMP
+    harts, sessions started from one image — across pool domains.
+    Blocks are keyed by the Flowtrace flag and the tracking backend's
+    profile ({!Shift_tracking.Tracking.per_instr},
+    {!Shift_tracking.Tracking.low_level_checks}) and refer to no machine,
+    memory or tracking handle, so the code lives exactly as long as its
+    image and the machines running it.  Tables are published under
+    [code_lock]: two machines may compile one block, the first
+    publication wins, and a lock-free reader sees either no block or a
+    whole one. *)
+and code = {
+  code_program : Shift_isa.Program.t;
+  code_decoded : Decode.t;
+  code_tables : sb_block option array array;
+      (** one table per block key, indexed by entry pc; [[||]] until a
+          machine first dispatches under that key *)
+  code_lock : Mutex.t;
+}
+
+(** A machine's superblock state (driven by {!Superblock}): heat
+    counters, host-side counters and the table it dispatches through.
+    It is derived: snapshots skip it, and a restored machine picks up
+    its image's warm tables with byte-identical simulated counters. *)
 and sb = {
   mutable sb_on : bool;
       (** master switch ([Session.Config.superblocks] lands here) *)
-  sb_hot : int array;                 (** per-entry-pc execution counts *)
-  sb_blocks : sb_block option array;  (** compiled block per entry pc *)
-  mutable sb_watched : bool;  (** code-region write watch registered *)
+  sb_hot : int array;  (** per-entry-pc execution counts *)
+  mutable sb_blocks : sb_block option array;
+      (** the table for [sb_key]: the code's shared one, or a private
+          copy once this machine's guest wrote its code region *)
+  mutable sb_key : int;
+      (** block key [sb_blocks] serves; [-1] until the machine first
+          enters the block driver, which registers its code-region
+          watch *)
+  mutable sb_private : bool;  (** [sb_blocks] is this machine's own copy *)
   sb_stats : Stats.superblocks;
 }
 
@@ -67,8 +98,6 @@ and sb_block = {
   sb_entry : int;
   sb_len : int;
   sb_ft : bool;  (** flowtrace.enabled value the body was specialised for *)
-  sb_tk : Shift_tracking.Tracking.t;
-      (** tracking handle the body's tag mirror was compiled against *)
   sb_provs : int array;
   sb_prov_counts : int array;
   sb_body : t -> unit;
@@ -90,10 +119,17 @@ exception Fault_exn of Fault.t
 exception Halt_exn of int64
 (** Internal control flow for [halt]; {!step} converts it to {!Exited}. *)
 
+val code_of_program : Shift_isa.Program.t -> code
+(** Decode a program into fresh code with empty block tables. *)
+
+val of_code : ?entry:string -> ?mem:Shift_mem.Memory.t -> code -> t
+(** Fresh machine running [code], with zeroed registers and [ip] at
+    [entry] (default ["_start"], or instruction 0 if absent).  [mem]
+    shares an existing memory (SMP harts); by default the machine gets
+    its own. *)
+
 val create : ?entry:string -> ?mem:Shift_mem.Memory.t -> Shift_isa.Program.t -> t
-(** Fresh machine with zeroed registers and [ip] at [entry] (default
-    ["_start"], or instruction 0 if absent).  [mem] shares an existing
-    memory (SMP harts); by default the machine gets its own. *)
+(** {!of_code} on the program's own fresh {!code}. *)
 
 val get_value : t -> Shift_isa.Reg.t -> int64
 val set_value : t -> Shift_isa.Reg.t -> int64 -> unit

@@ -30,7 +30,7 @@ let create ?(quantum = 50) ~stack_top ~stack_stride cpu =
 
 let spawn t ~parent ~entry ~arg =
   let id = List.length t.harts in
-  let cpu = Cpu.create ~mem:parent.Cpu.mem parent.Cpu.program in
+  let cpu = Cpu.of_code ~mem:parent.Cpu.mem parent.Cpu.code in
   (* inherit the register file: the reserved instrumentation constants
      (implemented-bits mask, scratch slot, NaT source) must be live in
      the child too *)
@@ -41,9 +41,9 @@ let spawn t ~parent ~entry ~arg =
      its register provenance alongside the register file *)
   cpu.Cpu.flowtrace <- parent.Cpu.flowtrace;
   Flowtrace.copy_regs parent.Cpu.ftregs cpu.Cpu.ftregs;
-  (* the child compiles its own superblocks (the block cache is
-     per-hart) but follows the parent's enable switch; sharing the
-     parent's memory means code-region stores invalidate across harts *)
+  (* the child runs the parent's code, block tables included, and
+     follows its enable switch; sharing the parent's memory means a
+     code-region store detaches every hart that watches it *)
   cpu.Cpu.sb.Cpu.sb_on <- parent.Cpu.sb.Cpu.sb_on;
   (* one tag coprocessor per machine: harts share the backend handle *)
   cpu.Cpu.tracking <- parent.Cpu.tracking;

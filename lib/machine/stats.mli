@@ -56,7 +56,7 @@ type superblocks = {
   mutable sb_compiled : int;       (** superblocks compiled *)
   mutable sb_hits : int;           (** block-cache hits (blocks entered) *)
   mutable sb_misses : int;         (** lookups that found no usable block *)
-  mutable sb_invalidations : int;  (** blocks dropped (code writes, trace flips) *)
+  mutable sb_invalidations : int;  (** blocks dropped by this machine's code writes *)
   mutable sb_fallback : int;       (** instructions run by the interpreter fallback *)
 }
 

@@ -20,8 +20,8 @@
    - NaT reads of immediate operands (an immediate's NaT is false);
    - arithmetic on a discarded destination when it cannot fault;
    - the per-instruction flowtrace enabled check (each block is
-     specialised for one value of [flowtrace.enabled] and refused when
-     the flag no longer matches);
+     specialised for one value of [flowtrace.enabled], and machines
+     dispatch through the table for their own value);
    - per-instruction [instructions]/[slots_by_prov] bumps (batched per
      block and unwound exactly on faults);
    - the tag-coprocessor mirror's decode: under a per-instruction
@@ -35,12 +35,12 @@
    serve migration therefore see the same instruction boundaries as the
    interpreter.
 
-   Blocks are invalidated when a guest store hits the synthetic code
+   Blocks live in the program's shared [Cpu.code], one table per block
+   key.  They are invalidated when a guest store hits the synthetic code
    region (region 2, 8 bytes per instruction slot, watched via
    {!Shift_mem.Memory.watch}) — the conservative flush any translator
-   performs on writes to code pages — and when [flowtrace.enabled]
-   flips, or the machine's tracking handle changes, under a compiled
-   block. *)
+   performs on writes to code pages — in the writing machine's private
+   copy of its table. *)
 
 open Shift_isa
 module Memory = Shift_mem.Memory
@@ -285,38 +285,43 @@ let compile_exec (d : Decode.info) ~ft : Cpu.t -> unit =
    that raises [Alert.Violation] therefore leaves [ip] on its slot, and
    [exec_block] unwinds the block tail exactly as for a fault. *)
 
-let compile_mirror (d : Decode.info) tk : Cpu.t -> unit =
+let compile_mirror (d : Decode.info) : Cpu.t -> unit =
   match d.Decode.op with
   | Instr.Nop | Instr.Halt | Instr.Cmp _ | Instr.Tnat _ | Instr.Chk_s _
   | Instr.Br _ | Instr.Call _ | Instr.Ret ->
       fun t ->
+        let tk = t.Cpu.tracking in
         Tracking.tick tk;
         Cpu.charge_stall t tk
   | Instr.Movi (dst, _) | Instr.Lea (dst, _) ->
       fun t ->
+        let tk = t.Cpu.tracking in
         Tracking.tick tk;
         Tracking.push_set tk ~dst ~tainted:false;
         Cpu.charge_stall t tk
   | Instr.Mov (dst, src) | Instr.Extr { dst; src; _ } ->
       fun t ->
+        let tk = t.Cpu.tracking in
         Tracking.tick tk;
         Tracking.push_move tk ~dst ~src;
         Cpu.charge_stall t tk
   | Instr.Arith ((Instr.Xor | Instr.Sub), dst, s1, Instr.R s2) when s1 = s2 ->
       fun t ->
+        let tk = t.Cpu.tracking in
         Tracking.tick tk;
         Tracking.push_set tk ~dst ~tainted:false;
         Cpu.charge_stall t tk
   | Instr.Arith (_, dst, s1, o) ->
       let s2 = match o with Instr.R r -> r | Instr.Imm _ -> Reg.zero in
       fun t ->
+        let tk = t.Cpu.tracking in
         Tracking.tick tk;
         Tracking.push_union tk ~dst ~s1 ~s2;
         Cpu.charge_stall t tk
   | Instr.Ld _ | Instr.St _ | Instr.Fetchadd _ | Instr.Br_reg _
   | Instr.Call_reg _ | Instr.Setnat _ | Instr.Clrnat _ | Instr.Syscall ->
       fun t ->
-        Tracking.tick tk;
+        Tracking.tick t.Cpu.tracking;
         Cpu.track_op t d
 
 (* ---------- timing prologue and memory fusion ----------
@@ -345,7 +350,7 @@ let load_invalid ~spec ~ft ~dst ~addr (t : Cpu.t) a =
     raise (Cpu.Fault_exn (Fault.Nat_consumption Fault.Load_address))
   else raise (Cpu.Fault_exn (Fault.Invalid_address a))
 
-let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
+let compile_instr (decoded : Decode.t) ~ft ~mirror ~checks pc : Cpu.t -> unit =
   let d = decoded.(pc) in
   (* hooks fire only for original-program instructions: the SHIFT
      instrumentation (non-Orig provenance) is transparent to the
@@ -357,8 +362,6 @@ let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
     Pipeline.compile_issue ~reads:d.Decode.reads ~writes:d.Decode.writes
       ~pred_writes:d.Decode.pred_writes ~qp ~is_mem:d.Decode.is_mem
   in
-  let mirror = Tracking.per_instr tk in
-  let checks = Tracking.low_level_checks tk in
   let hot =
     match d.Decode.op with
     | Instr.Ld { width; dst; addr; spec; fill } when mirror ->
@@ -376,6 +379,7 @@ let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
                if Cpu.touch_cache t ~pc ~store:false ~areg:addr a then lat0
                else lat0 + Cache.miss_penalty
              else lat0);
+          let tk = t.Cpu.tracking in
           Tracking.tick tk;
           if valid then begin
             if checks then
@@ -408,6 +412,7 @@ let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
           if (not addr_nat) && valid then
             ignore (Cpu.touch_cache t ~pc ~store:true ~areg:addr a);
           issue t.Cpu.pipe lat0;
+          let tk = t.Cpu.tracking in
           Tracking.tick tk;
           if valid then begin
             if checks then
@@ -430,7 +435,7 @@ let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
             t.Cpu.ip <- t.Cpu.ip + 1
           end
     | _ when mirror ->
-        let track = compile_mirror d tk in
+        let track = compile_mirror d in
         let exec = compile_exec d ~ft in
         fun t ->
           issue t.Cpu.pipe lat0;
@@ -570,7 +575,7 @@ let compile_instr (decoded : Decode.t) ~ft ~tk pc : Cpu.t -> unit =
           t.Cpu.stats.Stats.predicated_off + 1;
         off t.Cpu.pipe;
         (* a predicated-off slot still retires: the coprocessor ticks *)
-        Tracking.tick tk;
+        Tracking.tick t.Cpu.tracking;
         t.Cpu.ip <- t.Cpu.ip + 1
       end
     else fun t ->
@@ -601,10 +606,60 @@ let rec seq (fs : (Cpu.t -> unit) array) i n : Cpu.t -> unit =
         let rest = seq fs (i + 4) n in
         fun t -> a t; b t; c t; d t; rest t
 
+(* ---------- block tables ----------
+
+   A block key names what a body was specialised for: the Flowtrace
+   flag and the tracking backend's profile.  The tag-mirror slots read
+   the handle from the machine when they run, so one table serves every
+   session whose backend has the same profile.  Key = 2 * profile + ft,
+   with profile 0 (no mirror), 1 (tag mirror) or 2 (mirror with
+   low-level checks). *)
+
+let key_of (t : Cpu.t) =
+  let tk = t.Cpu.tracking in
+  let profile =
+    if not (Tracking.per_instr tk) then 0
+    else if Tracking.low_level_checks tk then 2
+    else 1
+  in
+  (2 * profile) + if ft_enabled t then 1 else 0
+
+(* The code's shared table for [key], created on first use. *)
+let shared_table (code : Cpu.code) key =
+  match code.Cpu.code_tables.(key) with
+  | [||] ->
+      Mutex.protect code.Cpu.code_lock (fun () ->
+          match code.Cpu.code_tables.(key) with
+          | [||] ->
+              let tbl = Array.make (Program.size code.Cpu.code_program) None in
+              code.Cpu.code_tables.(key) <- tbl;
+              tbl
+          | tbl -> tbl)
+  | tbl -> tbl
+
+(* Enter [b] at [entry] in the machine's table.  A private table is the
+   machine's own; a shared one is published under the code's lock, and
+   when another machine got there first its block stays. *)
+let publish (t : Cpu.t) entry b =
+  let sb = t.Cpu.sb in
+  let tbl = sb.Cpu.sb_blocks in
+  if sb.Cpu.sb_private then tbl.(entry) <- Some b
+  else
+    let lock = t.Cpu.code.Cpu.code_lock in
+    Mutex.protect lock (fun () ->
+        match tbl.(entry) with None -> tbl.(entry) <- Some b | Some _ -> ())
+
 (* ---------- invalidation ---------- *)
 
+(* A machine that writes its code region stops sharing: it copies its
+   table once and invalidates in the copy, so the other machines on the
+   code keep their blocks. *)
 let invalidate_range (t : Cpu.t) ~p0 ~p1 =
   let sb = t.Cpu.sb in
+  if not sb.Cpu.sb_private then begin
+    sb.Cpu.sb_blocks <- Array.copy sb.Cpu.sb_blocks;
+    sb.Cpu.sb_private <- true
+  end;
   let blocks = sb.Cpu.sb_blocks in
   let hi = min p1 (Array.length blocks - 1) in
   let lo = max 0 (p0 - max_block_len + 1) in
@@ -629,25 +684,35 @@ let on_code_write (t : Cpu.t) a len =
   let p1 = Int64.to_int (Int64.shift_right_logical off1 3) in
   invalidate_range t ~p0 ~p1
 
-let ensure_watch (t : Cpu.t) =
+let watch_code (t : Cpu.t) =
+  let size = Program.size t.Cpu.program in
+  if size > 0 then
+    Memory.watch t.Cpu.mem ~lo:code_base ~hi:(code_addr size)
+      (fun a len -> on_code_write t a len)
+
+(* Point the machine at the table for its current key.  Runs on entry to
+   the block driver, so the watch is registered (on the first call)
+   before the machine runs its first block; within one driver call the
+   key cannot change (the Flowtrace flag and the tracking handle are
+   fixed at session set-up). *)
+let select (t : Cpu.t) =
   let sb = t.Cpu.sb in
-  if not sb.Cpu.sb_watched then begin
-    sb.Cpu.sb_watched <- true;
-    let size = Program.size t.Cpu.program in
-    if size > 0 then
-      Memory.watch t.Cpu.mem ~lo:code_base ~hi:(code_addr size)
-        (fun a len -> on_code_write t a len)
+  let key = key_of t in
+  if key <> sb.Cpu.sb_key then begin
+    if sb.Cpu.sb_key < 0 then watch_code t;
+    sb.Cpu.sb_key <- key;
+    sb.Cpu.sb_blocks <- shared_table t.Cpu.code key;
+    sb.Cpu.sb_private <- false
   end
 
 (* ---------- block discovery and compilation ---------- *)
 
 let compile_block (t : Cpu.t) entry =
-  ensure_watch t;
   let sb = t.Cpu.sb in
   let decoded = t.Cpu.decoded in
   let size = Program.size t.Cpu.program in
-  let ft = ft_enabled t in
-  let tk = t.Cpu.tracking in
+  let key = sb.Cpu.sb_key in
+  let ft = key land 1 = 1 and mirror = key >= 2 and checks = key >= 4 in
   let len = ref 0 in
   let stop = ref false in
   while (not !stop) && !len < max_block_len && entry + !len < size do
@@ -656,23 +721,23 @@ let compile_block (t : Cpu.t) entry =
     if is_terminator d.Decode.op then stop := true
   done;
   let len = !len in
-  let fs = Array.init len (fun i -> compile_instr decoded ~ft ~tk (entry + i)) in
+  let fs =
+    Array.init len (fun i -> compile_instr decoded ~ft ~mirror ~checks (entry + i))
+  in
   let provs =
     Array.init len (fun i -> decoded.(entry + i).Decode.prov_index)
   in
   let prov_counts = Array.make Prov.card 0 in
   Array.iter (fun p -> prov_counts.(p) <- prov_counts.(p) + 1) provs;
-  sb.Cpu.sb_blocks.(entry) <-
-    Some
-      {
-        Cpu.sb_entry = entry;
-        sb_len = len;
-        sb_ft = ft;
-        sb_tk = tk;
-        sb_provs = provs;
-        sb_prov_counts = prov_counts;
-        sb_body = seq fs 0 len;
-      };
+  publish t entry
+    {
+      Cpu.sb_entry = entry;
+      sb_len = len;
+      sb_ft = ft;
+      sb_provs = provs;
+      sb_prov_counts = prov_counts;
+      sb_body = seq fs 0 len;
+    };
   sb.Cpu.sb_stats.Stats.sb_compiled <- sb.Cpu.sb_stats.Stats.sb_compiled + 1
 
 (* ---------- the block driver ---------- *)
@@ -754,6 +819,7 @@ let steps (t : Cpu.t) ~limit =
          match Cpu.step t with Some o -> out := Some o | None -> ()
        done
      else begin
+       select t;
        let sb = t.Cpu.sb in
        let size = Program.size t.Cpu.program in
        while !out = None && !spent < limit do
@@ -765,14 +831,6 @@ let steps (t : Cpu.t) ~limit =
          end
          else begin
            match sb.Cpu.sb_blocks.(ip) with
-           | Some b
-             when b.Cpu.sb_ft <> ft_enabled t || b.Cpu.sb_tk != t.Cpu.tracking
-             ->
-               (* tracing was toggled, or a new tracking handle installed,
-                  under a compiled block: recompile *)
-               sb.Cpu.sb_blocks.(ip) <- None;
-               sb.Cpu.sb_stats.Stats.sb_invalidations <-
-                 sb.Cpu.sb_stats.Stats.sb_invalidations + 1
            | Some b when b.Cpu.sb_len <= limit - !spent ->
                sb.Cpu.sb_stats.Stats.sb_hits <-
                  sb.Cpu.sb_stats.Stats.sb_hits + 1;

@@ -18,15 +18,19 @@
     the remaining fuel covers its whole length, so slice boundaries,
     checkpoints and serve migration stay instruction-exact.
 
-    The block cache is {e derived} state: it is never snapshotted, a
-    restored machine starts cold, and guest stores into the watched
-    code region (region 2) invalidate every block covering a written
-    instruction slot.  Blocks are additionally specialised for the
-    current [flowtrace.enabled] flag and the machine's tracking handle,
-    and recompiled when either changes.  Under a per-instruction
-    tracking backend ([coproc]) every compiled slot ticks the tag
-    coprocessor and pushes the records {!Cpu.track_op} would, in
-    {!Cpu.step}'s order. *)
+    Blocks belong to the program's {!Cpu.code}, which every machine
+    running one image shares: a restored session, forked children, SMP
+    harts and sessions started from the image run each other's blocks,
+    so an in-memory migration resumes warm.  They are never
+    snapshotted.  Tables are keyed by the [flowtrace.enabled] flag and
+    the tracking backend's profile; a block captures no machine,
+    memory or tracking handle.  Guest stores into the watched code
+    region (region 2) give the writing machine a private copy of its
+    table and invalidate, there, every block covering a written
+    instruction slot.  Under a per-instruction tracking backend
+    ([coproc]) every compiled slot ticks the machine's tag coprocessor
+    and pushes the records {!Cpu.track_op} would, in {!Cpu.step}'s
+    order. *)
 
 val hot_threshold : int
 (** Times an entry pc must be dispatched before its block is compiled. *)

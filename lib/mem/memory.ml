@@ -227,7 +227,7 @@ let allocated_pages t = Hashtbl.length t.pages
 
 (* Deep copy for fork: every page is blitted into a fresh table so the
    two address spaces never alias.  The clone starts with a cold TLB and
-   no watchers — the child's superblock cache registers its own. *)
+   no watchers — the child's machine registers its own. *)
 let clone t =
   let c = create () in
   Hashtbl.iter (fun key p -> Hashtbl.add c.pages key (Bytes.copy p)) t.pages;

@@ -1,10 +1,10 @@
 (* The process table and round-robin scheduler.
 
    Each process owns a full machine context: a CPU (register file,
-   pipeline, block cache), a private address space — which carries the
-   taint bitmap, since tags live in guest memory — a private Flowtrace
-   provenance shadow, and a kernel context (descriptor table, heap
-   break, comm).  [fork] deep-copies all four, so the child's taint and
+   pipeline, superblock heat; the code it runs is its image's, shared),
+   a private address space — which carries the taint bitmap, since tags
+   live in guest memory — a private Flowtrace provenance shadow, and a
+   kernel context (descriptor table, heap break, comm).  [fork] deep-copies all four, so the child's taint and
    provenance state is exactly the parent's at the fork point; [exec]
    replaces the image and address space while the kernel context (and
    with it the inherited descriptors) survives.
@@ -94,7 +94,7 @@ let fork_cpu (parent : Cpu.t) =
   (* private copy of the address space — and, because tags live in
      guest memory, of the whole taint bitmap *)
   let mem = Memory.clone parent.Cpu.mem in
-  let cpu = Cpu.create ~mem parent.Cpu.program in
+  let cpu = Cpu.of_code ~mem parent.Cpu.code in
   Array.blit parent.Cpu.values 0 cpu.Cpu.values 0 (Array.length parent.Cpu.values);
   Array.blit parent.Cpu.nats 0 cpu.Cpu.nats 0 (Array.length parent.Cpu.nats);
   Array.blit parent.Cpu.preds 0 cpu.Cpu.preds 0 (Array.length parent.Cpu.preds);

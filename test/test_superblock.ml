@@ -11,8 +11,11 @@
    invariant is easiest to break: guest stores into the watched code
    region (block invalidation), fuel slices expiring mid-block
    (interpreter fallback with exact accounting), and checkpoint/restore
-   landing both on block boundaries and mid-interpretation (the block
-   cache is derived state and must never leak into a snapshot). *)
+   landing both on block boundaries and mid-interpretation (blocks are
+   derived state and must never leak into a snapshot).  Machines that
+   share one image's blocks get directed tests too: a code write stays
+   private to the writer, concurrent domains agree with a solo run, and
+   shared blocks keep no dropped session alive. *)
 
 open Build
 open Build.Infix
@@ -165,8 +168,8 @@ let roundtrip ~budget ~yields name =
   in
   go ();
   (* the unbroken reference runs on the pure interpreter: a restored
-     superblock machine must match it even though its block cache
-     starts cold *)
+     superblock machine must match it, here on a decoded snapshot
+     whose image builds fresh code *)
   let interp_config =
     Shift.Session.Config.make ~policy:Policy.default ~fuel
       ~setup:(Spec.setup ~size:256 ~tainted:true k)
@@ -194,6 +197,163 @@ let snapshot_tests =
         (* 7-instruction slices: breaks land inside what would be a
            compiled block, on the per-instruction fallback *)
         roundtrip ~budget:7 ~yields:40 "gzip");
+  ]
+
+(* ---------- directed: machines sharing one image's code ---------- *)
+
+module Cpu = Shift_machine.Cpu
+module Exec = Shift_machine.Exec
+module Image = Shift_compiler.Image
+module Backend = Shift.Backend
+
+let hart0 live = Exec.hart0 (Shift.Session.engine live)
+
+let finish live =
+  let rec go () =
+    match Shift.Session.advance live ~budget:max_int with
+    | `Yielded -> go ()
+    | `Finished _ -> ()
+  in
+  go ()
+
+let entries (tbl : Cpu.sb_block option array) =
+  List.filter (fun pc -> Option.is_some tbl.(pc)) (List.init (Array.length tbl) Fun.id)
+
+(* blocks [self_modifying_prog] invalidates when it runs alone on its
+   image; a writer that found another machine's blocks in the shared
+   table must count the same *)
+let solo_invalidations = 33
+
+let sharing_tests =
+  let config = Shift.Session.Config.make ~policy:Policy.default ~fuel () in
+  [
+    tc "a code write detaches only the writer; the reader keeps its blocks"
+      (fun () ->
+        let image = Shift.Session.build ~mode:Mode.shift_word self_modifying_prog in
+        let reader = Shift.Session.start ~config image in
+        (* stop the reader once it has published blocks, before its own
+           overwrite loop *)
+        let rec warm () =
+          match Shift.Session.advance reader ~budget:50 with
+          | `Finished _ -> Alcotest.fail "the reader finished while warming"
+          | `Yielded ->
+              if entries (hart0 reader).Cpu.sb.Cpu.sb_blocks = [] then warm ()
+        in
+        warm ();
+        let rsb = (hart0 reader).Cpu.sb in
+        let shared = rsb.Cpu.sb_blocks in
+        let before = entries shared in
+        Util.check_int "the reader has not written its code yet" 0
+          rsb.Cpu.sb_stats.Stats.sb_invalidations;
+        let writer = Shift.Session.start ~config image in
+        finish writer;
+        let wsb = (hart0 writer).Cpu.sb in
+        Util.check_bool "the writer detached" true wsb.Cpu.sb_private;
+        Util.check_int "writer invalidations = a solo run's" solo_invalidations
+          wsb.Cpu.sb_stats.Stats.sb_invalidations;
+        Util.check_bool "the reader still dispatches through the shared table"
+          true
+          ((not rsb.Cpu.sb_private) && rsb.Cpu.sb_blocks == shared);
+        Util.check_bool "every block the reader saw is intact" true
+          (List.for_all (fun pc -> Option.is_some shared.(pc)) before);
+        finish reader;
+        let solo =
+          run_sliced ~superblocks:false ~mode:Mode.shift_word self_modifying_prog
+        in
+        let expect = report_json (Shift.Session.report solo) in
+        Util.check_string "writer report" expect
+          (report_json (Shift.Session.report writer));
+        Util.check_string "reader report" expect
+          (report_json (Shift.Session.report reader)));
+    tc "a writer running alone invalidates as many blocks as ever" (fun () ->
+        let live = run_sliced ~mode:Mode.shift_word self_modifying_prog in
+        Util.check_int "invalidations" solo_invalidations
+          (Shift.Session.superblock_stats live).Stats.sb_invalidations);
+    tc "two domains starting on one fresh image match a solo run" (fun () ->
+        let k = kernel "gzip" in
+        List.iter
+          (fun backend ->
+            let config =
+              Shift.Session.Config.make ~policy:Policy.default ~fuel ~backend
+                ~setup:(Spec.setup ~size:256 ~tainted:true k)
+                ()
+            in
+            let build () =
+              Shift.Session.build ~backend ~mode:Mode.shift_word k.Spec.program
+            in
+            let run image =
+              let live = Shift.Session.start ~config image in
+              finish live;
+              report_json (Shift.Session.report live)
+            in
+            let solo = run (build ()) in
+            let image = build () in
+            let ready = Atomic.make 0 in
+            let racer () =
+              Atomic.incr ready;
+              while Atomic.get ready < 2 do
+                Domain.cpu_relax ()
+              done;
+              run image
+            in
+            let d1 = Domain.spawn racer in
+            let d2 = Domain.spawn racer in
+            let name = Backend.to_string backend in
+            Util.check_string (name ^ ": first domain") solo (Domain.join d1);
+            Util.check_string (name ^ ": second domain") solo (Domain.join d2))
+          [ Backend.Nat; Backend.Coproc ]);
+  ]
+
+(* ---------- retention: shared code holds no session ---------- *)
+
+(* Blocks outlive the session that compiled them, so they must not
+   reach its memory or tracking handle; and the code itself goes with
+   the last image or machine that holds it. *)
+let[@inline never] run_and_forget ~config image weak_mem weak_tk =
+  let live = Shift.Session.start ~config image in
+  finish live;
+  Weak.set weak_mem 0 (Some (hart0 live).Cpu.mem);
+  Weak.set weak_tk 0 (Some (Shift.Session.tracking live));
+  (Shift.Session.superblock_stats live).Stats.sb_compiled
+
+let[@inline never] code_of_dropped_image ~config weak =
+  let image =
+    Shift.Session.build ~backend:Backend.Coproc ~mode:Mode.shift_word
+      self_modifying_prog
+  in
+  finish (Shift.Session.start ~config image);
+  Weak.set weak 0 (Some (Image.code image))
+
+let retention_tests =
+  let config =
+    Shift.Session.Config.make ~policy:Policy.default ~fuel
+      ~backend:Backend.Coproc ()
+  in
+  [
+    tc "a dropped session's memory and tracking handle are collected"
+      (fun () ->
+        let image =
+          Shift.Session.build ~backend:Backend.Coproc ~mode:Mode.shift_word
+            (Test_random.gen_program 5)
+        in
+        let weak_mem = Weak.create 1 and weak_tk = Weak.create 1 in
+        let compiled_a = run_and_forget ~config image weak_mem weak_tk in
+        let b = Shift.Session.start ~config image in
+        finish b;
+        Gc.full_major ();
+        Util.check_bool "A's memory is gone" false (Weak.check weak_mem 0);
+        Util.check_bool "A's tracking handle is gone" false
+          (Weak.check weak_tk 0);
+        let sb = Shift.Session.superblock_stats b in
+        Util.check_bool "A compiled blocks" true (compiled_a > 0);
+        Util.check_bool "B ran A's blocks" true
+          (sb.Stats.sb_hits > 0 && sb.Stats.sb_compiled < compiled_a);
+        ignore (Sys.opaque_identity (b, image)));
+    tc "the code goes with its image and sessions" (fun () ->
+        let weak = Weak.create 1 in
+        code_of_dropped_image ~config weak;
+        Gc.full_major ();
+        Util.check_bool "the code is gone" false (Weak.check weak 0));
   ]
 
 (* ---------- property: on vs off identical for random programs ---------- *)
@@ -233,4 +393,6 @@ let suites =
     ("superblock.self_modifying", self_modifying_tests);
     ("superblock.slices", slice_tests);
     ("superblock.snapshot", snapshot_tests);
+    ("superblock.sharing", sharing_tests);
+    ("superblock.retention", retention_tests);
   ]

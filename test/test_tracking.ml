@@ -301,9 +301,64 @@ let threaded_loops_prog =
       ];
   }
 
+(* A session on a warm shared block table against a cold interpreter
+   run, both checkpointed and restored in memory at every slice
+   boundary (the coprocessor's counters restart with each restored
+   session, so the cold side is cut the same way).  The restored session
+   picks up its image's code and its blocks read the new session's
+   tracking handle, so nothing may differ at any boundary. *)
+let warm_restored_agrees ~backend ~mode ~trace prog =
+  let config superblocks =
+    Shift.Session.Config.make ~fuel ~superblocks ~backend ?trace ()
+  in
+  let image = Shift.Session.build ~backend ~mode prog in
+  let warm_up = Shift.Session.start ~config:(config true) image in
+  (match Shift.Session.advance warm_up ~budget:max_int with
+  | `Finished _ | `Yielded -> ());
+  let state live =
+    let tk = Shift.Session.tracking live in
+    ( report_bytes (Shift.Session.report live),
+      Tracking.stats tk,
+      Tracking.export tk )
+  in
+  let park live = Shift.Session.restore (Shift.Session.checkpoint live) in
+  let rec go warm cold =
+    let a = Shift.Session.advance warm ~budget:211 in
+    let b = Shift.Session.advance cold ~budget:211 in
+    state warm = state cold
+    &&
+    match (a, b) with
+    | `Yielded, `Yielded -> go (park warm) (park cold)
+    | `Finished _, `Finished _ -> true
+    | _ -> false
+  in
+  go
+    (Shift.Session.start ~config:(config true) image)
+    (Shift.Session.start ~config:(config false)
+       (Shift.Session.build ~backend ~mode prog))
+
+let warm_table_test =
+  QCheck.Test.make ~count:8
+    ~name:"warm shared blocks, restored every slice = cold interpreter"
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let prog = Test_random.gen_program seed in
+      List.for_all
+        (fun (backend, mode) ->
+          List.for_all
+            (fun trace -> warm_restored_agrees ~backend ~mode ~trace prog)
+            [ None; Some Shift.Flowtrace.default_options ])
+        [
+          (Backend.Nat, Mode.shift_word);
+          (Backend.Nat, Mode.shift_byte);
+          (Backend.Coproc, Mode.shift_word);
+          (Backend.Off, Mode.shift_word);
+        ])
+
 let engine_tests =
   [
     QCheck_alcotest.to_alcotest coproc_engine_test;
+    QCheck_alcotest.to_alcotest warm_table_test;
     tc "threaded coproc: superblocks on = off" (fun () ->
         let threading = Shift.Session.Config.Threads { quantum = Some 97 } in
         let live =
