@@ -109,6 +109,7 @@ let case =
     images = [];
     multiproc = None;
     variants = Some set_key;
+    cache = Shift.Session.image_cache ();
   }
 
 let case_ct =
@@ -118,4 +119,5 @@ let case_ct =
     attack_type = "Cache Side Channel (constant-time)";
     detection_policies = "ct-seq contract (clean)";
     program = ct_program;
+    cache = Shift.Session.image_cache ();
   }

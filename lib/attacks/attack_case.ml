@@ -13,6 +13,7 @@ type t = {
   images : (string * Ir.program) list;
   multiproc : string option;
   variants : (int -> Shift_os.World.t -> unit) option;
+  cache : Shift.Session.image_cache;
 }
 
 (* Every front end (CLI, serve catalogue, tests) builds its session
@@ -31,14 +32,14 @@ let config ?trace ?hwtrace ?(superblocks = true)
   in
   let images =
     List.map
-      (fun (name, prog) -> (name, Shift.Session.build ~backend ~mode prog))
+      (fun (name, prog) -> (name, Shift.Session.build ~cache:c.cache ~backend ~mode prog))
       c.images
   in
   Shift.Session.Config.make ~policy:c.policy ~setup:input ~threading ?trace
     ?hwtrace ~superblocks ~backend ~images ()
 
 let image ?(backend = Shift_tracking.Backend.Nat) ~mode (c : t) =
-  Shift.Session.build ~backend ~mode c.program
+  Shift.Session.build ~cache:c.cache ~backend ~mode c.program
 
 let run ?trace ?superblocks ?backend ~mode ~input (c : t) =
   Shift.Session.exec

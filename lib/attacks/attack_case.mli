@@ -34,6 +34,11 @@ type t = {
           [variants i] is a complete world setup whose tainted bytes —
           and nothing else — differ with [i] (variant 0 is the
           baseline).  [None] for cases with no side-channel story. *)
+  cache : Shift.Session.image_cache;
+      (** The case's compiled images, main and aux, one per build key:
+          give every case its own ({!Shift.Session.image_cache}), so
+          its benign and exploit runs, repeat requests and leak
+          variants share one image and its warm blocks. *)
 }
 
 (** {1 Session plumbing}
@@ -53,15 +58,18 @@ val config :
   Shift.Session.Config.t
 (** The session configuration for running [t] under [input] (pass
     [t.benign] or [t.exploit]): its policy, machine shape and compiled
-    aux images.  For a single-process case this is byte-identical to
-    the config the pre-multiprocess front ends built. *)
+    aux images, built through the case's [cache].  For a single-process
+    case this is byte-identical to the config the pre-multiprocess front
+    ends built. *)
 
 val image :
   ?backend:Shift_tracking.Backend.t ->
   mode:Shift_compiler.Mode.t ->
   t ->
   Shift_compiler.Image.t
-(** The case's main program, compiled like the CLI compiles it. *)
+(** The case's main program, compiled like the CLI compiles it; a
+    repeat call with the same [backend] and effective mode returns the
+    same image from the case's [cache]. *)
 
 val run :
   ?trace:Shift_machine.Flowtrace.options ->

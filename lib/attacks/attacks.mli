@@ -8,7 +8,9 @@ val all : Attack_case.t list
 
 val find : string -> Attack_case.t option
 (** Look up by [program_name] prefix (case-insensitive), extended and
-    multi-process cases included (built for the word-level mode). *)
+    multi-process cases included (built for the word-level mode).  Every
+    lookup of a name returns the same case, and with it the same image
+    cache. *)
 
 val multiproc : Attack_case.t list
 (** Cross-process scenarios under the multi-process OS personality:

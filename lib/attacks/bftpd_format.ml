@@ -89,4 +89,5 @@ let case =
     images = [];
     multiproc = None;
     variants = None;
+    cache = Shift.Session.image_cache ();
   }

@@ -109,4 +109,5 @@ let case =
     images = [ ("sh", shell) ];
     multiproc = Some "httpd-cgi";
     variants = None;
+    cache = Shift.Session.image_cache ();
   }

@@ -114,4 +114,5 @@ let case =
     images = [];
     multiproc = None;
     variants = None;
+    cache = Shift.Session.image_cache ();
   }

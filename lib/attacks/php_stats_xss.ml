@@ -100,4 +100,5 @@ let case =
     images = [];
     multiproc = None;
     variants = None;
+    cache = Shift.Session.image_cache ();
   }

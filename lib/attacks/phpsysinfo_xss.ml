@@ -103,4 +103,5 @@ let case =
     images = [];
     multiproc = None;
     variants = None;
+    cache = Shift.Session.image_cache ();
   }

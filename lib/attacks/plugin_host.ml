@@ -63,12 +63,15 @@ let registry_for addr =
 
 (* Registry contents hold real code addresses, which depend on the
    compilation mode (the attacker is assumed to know the binary); the
-   case is therefore built per mode. *)
-let code_addr mode label =
-  let image = Shift.Session.build ~mode program in
-  Int64.of_int (Shift_isa.Program.target image.Shift_compiler.Image.program label)
-
+   case is therefore built per mode.  The address is read off the
+   nat-backend image in the case's own cache, so a run resolves it
+   without compiling inside its world setup. *)
 let case_for_mode mode =
+  let cache = Shift.Session.image_cache () in
+  let code_addr label =
+    let image = Shift.Session.build ~cache ~mode program in
+    Int64.of_int (Shift_isa.Program.target image.Shift_compiler.Image.program label)
+  in
   {
     Attack_case.cve = "EXT-L3";
     program_name = "plugin-host (extension)";
@@ -80,14 +83,14 @@ let case_for_mode mode =
     policy;
     benign =
       (fun w ->
-        Shift_os.World.add_file w "plugins.reg"
-          (registry_for (code_addr mode "handler_status")));
+        Shift_os.World.add_file w "plugins.reg" (registry_for (code_addr "handler_status")));
     exploit =
       (fun w ->
         Shift_os.World.add_file w "plugins.reg"
-          (registry_for (code_addr mode "maintenance_shell")));
+          (registry_for (code_addr "maintenance_shell")));
     provenance = None;
     images = [];
     multiproc = None;
     variants = None;
+    cache;
   }

@@ -122,4 +122,5 @@ let case =
     images = [ ("gzip", gzip) ];
     multiproc = Some "tar";
     variants = None;
+    cache = Shift.Session.image_cache ();
   }

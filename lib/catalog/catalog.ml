@@ -101,8 +101,9 @@ let trace_job ~mode ~benign ~ring ~only ~superblocks ~backend name =
 
 (* [shiftc leak]'s variant starter: the attack-case config with the
    hardware trace on and flow tracing enabled (so a divergence can name
-   the tainted bytes steering it), under variant [i]'s input.  The case
-   is compiled once here and every variant starts from that image. *)
+   the tainted bytes steering it), under variant [i]'s input.  Every
+   variant starts from the case's cached image, as does every later
+   detection on the same case, mode and backend. *)
 let leak_start ?(superblocks = true) ?(backend = Shift_tracking.Backend.Nat)
     ~mode name =
   Result.bind (find_case name) (fun (c : Case.t) ->

@@ -20,8 +20,10 @@ val leak_start :
   (int -> Shift.Session.live, string) result
 (** The variant starter {!Shift.Leak.detect} consumes, for a named
     side-channel case: [start i] begins a flow-traced, hardware-traced
-    session under variant [i]'s input.  The case is compiled once, by
-    [leak_start] itself, and every variant shares that image.  [Error]
+    session under variant [i]'s input.  Every variant starts from the
+    case's cached image ({!Shift_attacks.Attack_case.image}), shared with
+    every other detection and run of the case under the same mode and
+    backend.  [Error]
     if the name is unknown or the case carries no variants.  [shiftc leak], the serve [leak]
     job and the sidechannel experiment all build their sessions here,
     so their observations cannot drift. *)

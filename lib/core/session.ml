@@ -108,44 +108,46 @@ let gran_for ~backend mode =
 
 (* The runtime library compiled once per key and linked into every
    image, as the paper links one instrumented glibc.  The memo is shared
-   by every domain, so lookups and inserts are mutex-guarded and the
-   compile happens outside the lock.  Two domains racing on one key may
-   both compile it — [Compile.library] is pure in the key — and the
-   first insert wins, so every image of a key shares one library. *)
+   by every domain; [Compile.library] is pure in the key, so a race
+   costs at most a second compile and every image of a key shares one
+   library. *)
 let runtime_callees = Ir.callees Shift_runtime.Runtime.program
-let libraries_lock = Mutex.create ()
-let libraries : (Mode.t * Compile.options * bool * string list, Compile.library) Hashtbl.t =
-  Hashtbl.create 16
+let libraries = Memo.create ~equal:( = )
 
 let runtime_library ~mode ~options ~keep_taint_markers ~taint_returns =
   let taint_returns =
     List.sort_uniq compare (List.filter (fun f -> List.mem f runtime_callees) taint_returns)
   in
-  let key = (mode, options, keep_taint_markers, taint_returns) in
-  match Mutex.protect libraries_lock (fun () -> Hashtbl.find_opt libraries key) with
-  | Some lib -> lib
-  | None ->
-      let lib =
-        Compile.library ~mode ~options ~taint_returns ~keep_taint_markers
-          Shift_runtime.Runtime.program
-      in
-      Mutex.protect libraries_lock (fun () ->
-          match Hashtbl.find_opt libraries key with
-          | Some first -> first
-          | None ->
-              Hashtbl.add libraries key lib;
-              lib)
+  Memo.find_or_add libraries (mode, options, keep_taint_markers, taint_returns) (fun () ->
+      Compile.library ~mode ~options ~taint_returns ~keep_taint_markers
+        Shift_runtime.Runtime.program)
 
-let build ?(with_runtime = true) ?(options = Compile.default_options) ?(taint_returns = [])
-    ?(backend = Backend.Nat) ~mode prog =
+(* An image cache: programs by physical identity, and everything else
+   the build reads by value. *)
+type image_cache =
+  (Ir.program * (Mode.t * bool * Compile.options * string list * bool), Image.t) Memo.t
+
+let image_cache () : image_cache =
+  Memo.create ~equal:(fun (p, k) (p', k') -> p == p' && k = k')
+
+let build ?cache ?(with_runtime = true) ?(options = Compile.default_options)
+    ?(taint_returns = []) ?(backend = Backend.Nat) ~mode prog =
   let mode = effective_mode ~backend mode in
   let keep_taint_markers = backend = Backend.Coproc in
-  let lib =
-    if with_runtime then
-      Some (runtime_library ~mode ~options ~keep_taint_markers ~taint_returns)
-    else None
+  let compile () =
+    let lib =
+      if with_runtime then
+        Some (runtime_library ~mode ~options ~keep_taint_markers ~taint_returns)
+      else None
+    in
+    Compile.compile ~mode ~options ~taint_returns ~keep_taint_markers ?lib prog
   in
-  Compile.compile ~mode ~options ~taint_returns ~keep_taint_markers ?lib prog
+  match cache with
+  | None -> compile ()
+  | Some cache ->
+      Memo.find_or_add cache
+        (prog, (mode, keep_taint_markers, options, taint_returns, with_runtime))
+        compile
 
 let load (image : Image.t) =
   let cpu = Cpu.of_code (Image.code image) in

@@ -118,7 +118,18 @@ val effective_mode :
     bench all route through this so the backend/mode pairing cannot
     drift between entry points. *)
 
+type image_cache
+(** Built images, one per program and build key, for an owner that
+    runs the same programs again (an attack case holds one).  A program
+    is identified physically; the key is everything else {!build} reads:
+    the effective mode, whether taint markers are kept, [options],
+    [taint_returns] and [with_runtime].  Safe to share across domains. *)
+
+val image_cache : unit -> image_cache
+(** An empty cache. *)
+
 val build :
+  ?cache:image_cache ->
   ?with_runtime:bool ->
   ?options:Shift_compiler.Compile.options ->
   ?taint_returns:string list ->
@@ -138,6 +149,10 @@ val build :
     tag coprocessor, keeps the Orig-provenance taint markers in the
     otherwise-uninstrumented stream so the mirror sees [untaint] and
     tainted-return sources (the machine skips their NaT writes).
+    With [cache], a repeat build returns the first image built for its
+    key — the same value, shared with its code and warm blocks
+    ({!Shift_compiler.Image.code}) — so the cache lives as long as its
+    owner and holds at most one image per key and program.
     @raise Shift_compiler.Compile.Error on invalid programs. *)
 
 val load : Shift_compiler.Image.t -> Shift_machine.Cpu.t
