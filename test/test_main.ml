@@ -6,4 +6,4 @@ let () =
    @ Test_procs.suites
    @ Test_flowtrace.suites @ Test_snapshot.suites @ Test_serve.suites
    @ Test_snapshot_codec.suites @ Test_superblock.suites @ Test_tracking.suites
-   @ Test_leak.suites @ Test_link.suites @ Test_case_cache.suites)
+   @ Test_leak.suites @ Test_link.suites @ Test_case_cache.suites @ Test_export.suites)
