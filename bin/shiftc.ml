@@ -695,11 +695,7 @@ let leak_cmd =
               (match Shift.Session.advance live ~budget:max_int with
               | `Finished _ | `Yielded -> ());
               let oc = open_out file in
-              List.iter
-                (fun j ->
-                  output_string oc (Shift.Results.to_string ~minify:true j);
-                  output_char oc '\n')
-                (Shift.Leak.trace_json live);
+              output_string oc (Shift.Leak.trace_jsonl live);
               close_out oc);
           if json then
             print_endline

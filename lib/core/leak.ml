@@ -95,19 +95,18 @@ let first_divergence clause ~variant base base_hw live hw =
       let n = min nb nv in
       let rec scan i =
         if i < n then begin
-          let eb = Hw.get base_hw i and ev = Hw.get hw i in
-          if eb.Hw.e_set <> ev.Hw.e_set || eb.Hw.e_store <> ev.Hw.e_store then
+          if Hw.set base_hw i <> Hw.set hw i || Hw.store base_hw i <> Hw.store hw i then
             Some
               {
                 d_variant = variant;
                 d_index = i;
-                d_pc = ev.Hw.e_pc;
-                d_store = ev.Hw.e_store;
-                d_set_base = eb.Hw.e_set;
-                d_set_variant = ev.Hw.e_set;
+                d_pc = Hw.pc hw i;
+                d_store = Hw.store hw i;
+                d_set_base = Hw.set base_hw i;
+                d_set_variant = Hw.set hw i;
                 d_tainted =
-                  (match address_provenance live ev.Hw.e_prov with
-                  | [] -> address_provenance base eb.Hw.e_prov
+                  (match address_provenance live (Hw.prov hw i) with
+                  | [] -> address_provenance base (Hw.prov base_hw i)
                   | hops -> hops);
               }
           else scan (i + 1)
@@ -116,16 +115,15 @@ let first_divergence clause ~variant base base_hw live hw =
         else
           (* one run made more accesses: the trace *length* leaked *)
           let longer_live, longer = if nv > nb then (live, hw) else (base, base_hw) in
-          let e = Hw.get longer n in
           Some
             {
               d_variant = variant;
               d_index = n;
-              d_pc = e.Hw.e_pc;
-              d_store = e.Hw.e_store;
-              d_set_base = (if nb > n then e.Hw.e_set else -1);
-              d_set_variant = (if nv > n then e.Hw.e_set else -1);
-              d_tainted = address_provenance longer_live e.Hw.e_prov;
+              d_pc = Hw.pc longer n;
+              d_store = Hw.store longer n;
+              d_set_base = (if nb > n then Hw.set longer n else -1);
+              d_set_variant = (if nv > n then Hw.set longer n else -1);
+              d_tainted = address_provenance longer_live (Hw.prov longer n);
             }
       in
       scan 0
@@ -181,29 +179,38 @@ let verdict_to_json v =
     | None -> []
     | Some d -> [ ("divergence", divergence_to_json d) ])
 
-(* One JSON object per recorded access — the exportable trace.  The
-   taint marker rides along so a reader can see which accesses were
+(* One JSON object per recorded access — the exportable trace, written
+   line by line with the same direct helpers as [Flow.jsonl].  The taint
+   marker rides along so a reader can see which accesses were
    secret-steered without re-running the detector. *)
-let trace_json live =
+let trace_jsonl live =
   let hw = hwtrace_of live in
-  List.init (Hw.length hw) (fun i ->
-      let e = Hw.get hw i in
-      Results.Obj
-        ([
-           ("i", Results.Int i);
-           ("pc", Results.Int e.Hw.e_pc);
-           ("set", Results.Int e.Hw.e_set);
-           ("hit", Results.Bool e.Hw.e_hit);
-           ("kind", Results.String (if e.Hw.e_store then "store" else "load"));
-         ]
-        @
-        match address_provenance live e.Hw.e_prov with
-        | [] -> []
-        | hops ->
-            [
-              ( "tainted_by",
-                Results.List (List.map (fun h -> Results.String h) hops) );
-            ]))
+  let n = Hw.length hw in
+  (* a line is 50-60 bytes unless it names tainted bytes *)
+  let b = Buffer.create (64 + (64 * n)) in
+  for i = 0 to n - 1 do
+    Buffer.add_string b "{\"i\":";
+    Results.add_int b i;
+    Buffer.add_string b ",\"pc\":";
+    Results.add_int b (Hw.pc hw i);
+    Buffer.add_string b ",\"set\":";
+    Results.add_int b (Hw.set hw i);
+    Buffer.add_string b (if Hw.hit hw i then ",\"hit\":true" else ",\"hit\":false");
+    Buffer.add_string b
+      (if Hw.store hw i then ",\"kind\":\"store\"" else ",\"kind\":\"load\"");
+    (match address_provenance live (Hw.prov hw i) with
+    | [] -> ()
+    | hops ->
+        Buffer.add_string b ",\"tainted_by\":[";
+        List.iteri
+          (fun k hop ->
+            if k > 0 then Buffer.add_char b ',';
+            Results.add_escaped b hop)
+          hops;
+        Buffer.add_char b ']');
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.contents b
 
 (* A short stable digest of the clause-visible observation (FNV-1a over
    the (store, set) sequence): what the bench stores so CI can assert
@@ -215,10 +222,10 @@ let observation_digest hw =
     h := Int64.mul (Int64.logxor !h (Int64.of_int (byte land 0xff))) fnv_prime
   in
   for i = 0 to Hw.length hw - 1 do
-    let e = Hw.get hw i in
-    mix (if e.Hw.e_store then 1 else 0);
-    mix e.Hw.e_set;
-    mix (e.Hw.e_set lsr 8)
+    let set = Hw.set hw i in
+    mix (if Hw.store hw i then 1 else 0);
+    mix set;
+    mix (set lsr 8)
   done;
   Printf.sprintf "%016Lx" !h
 

@@ -57,9 +57,13 @@ val detect :
 val verdict_to_json : verdict -> Results.json
 val divergence_to_json : divergence -> Results.json
 
-val trace_json : Session.live -> Results.json list
-(** One JSON object per recorded access of the session's trace
-    (deterministic; for JSONL export). *)
+val trace_jsonl : Session.live -> string
+(** The session's hardware trace as JSONL, newline-terminated: one
+    minified object per recorded access ([i], [pc], [set], [hit],
+    [kind], and [tainted_by] hops when the address carried provenance).
+    Deterministic; written field by field into one buffer sized from
+    the entry count, with the {!Results.add_int} and
+    {!Results.add_escaped} helpers {!Flow.jsonl} uses. *)
 
 val observation_digest : Shift_machine.Hwtrace.t -> string
 (** Stable 16-hex-digit digest of the ct-seq-visible observation, for

@@ -70,6 +70,21 @@ let add_escaped b s =
   Buffer.add_substring b s !start (n - !start);
   Buffer.add_char b '"'
 
+(* Decimal digits straight into the buffer, most significant first: the
+   bytes of [string_of_int n] without the intermediate string.  The
+   recursion is at most 19 deep. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
 (* Shortest representation that parses back to the same float; JSON has
    no NaN/infinity, so those become null. *)
 let add_float b f =
@@ -103,7 +118,7 @@ let to_buffer ?(minify = false) b j =
   let rec go indent = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int n -> Buffer.add_string b (string_of_int n)
+    | Int n -> add_int b n
     | Float f -> add_float b f
     | String s -> add_escaped b s
     | List [] -> Buffer.add_string b "[]"

@@ -48,6 +48,21 @@ val to_buffer : ?minify:bool -> Buffer.t -> json -> unit
     a caller writing many values (JSONL lines, a file) can print them
     into one buffer without a copy per value. *)
 
+(** {1 Direct writing}
+
+    The two primitives {!to_buffer} prints with, for writers that emit
+    many lines of one fixed shape (the JSONL exports of {!Flow} and
+    {!Leak}) without building a [json] tree per line. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped b s] appends [s] as a JSON string literal: quoted,
+    with quotes, backslashes and control bytes escaped and every other
+    byte copied raw — exactly what [to_buffer b (String s)] appends. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int b n] appends the bytes of [string_of_int n] without
+    allocating them (except for [min_int]). *)
+
 val of_string : string -> (json, string) result
 (** Parse a complete JSON text.  Accepts exactly the constructs
     {!to_string} emits plus standard escapes; the error string carries

@@ -395,6 +395,11 @@ let events t =
   let n = min t.count t.capacity in
   List.init n (fun i -> t.ring.((t.count - n + i) mod t.capacity))
 
+let iter_events t f =
+  for seq = max 0 (t.count - t.capacity) to t.count - 1 do
+    f t.ring.(slot t seq)
+  done
+
 let dropped t = max 0 (t.count - t.capacity)
 let sources t = List.rev t.sources
 

@@ -193,6 +193,10 @@ val chain : t -> addr:int64 -> positions:int list -> string list
 val events : t -> event list
 (** Ring contents, oldest first. *)
 
+val iter_events : t -> (event -> unit) -> unit
+(** [iter_events t f] applies [f] to the ring contents, oldest first,
+    without building the {!events} list. *)
+
 val dropped : t -> int
 (** Events that fell off the ring ([count - capacity], clamped). *)
 

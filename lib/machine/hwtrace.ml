@@ -10,7 +10,12 @@
    Entries also carry the Flowtrace id of the *address* register at the
    moment of the access.  When a trace divergence is found, that id is
    what lets the leak detector walk the provenance chain back to the
-   exact tainted input bytes that steered the access (Leak.detect). *)
+   exact tainted input bytes that steered the access (Leak.detect).
+
+   Entries are stored unboxed, [stride] ints each in one flat array:
+   pc, set, flags (hit, store) and prov.  [record] writes four slots and
+   allocates nothing except when the array doubles; the [entry] record
+   is only built on demand by [get] and [entries]. *)
 
 type entry = {
   e_pc : int;  (* guest pc of the load/store *)
@@ -22,39 +27,65 @@ type entry = {
 
 type t = {
   mutable enabled : bool;
-  mutable buf : entry array;
+  mutable data : int array;
   mutable len : int;
   mutable dropped : int;
   limit : int;
 }
 
 let default_limit = 1 lsl 20
-
-let none = { e_pc = 0; e_set = 0; e_hit = false; e_store = false; e_prov = 0 }
+let stride = 4
+let first_capacity = 256 (* entries *)
+let hit_flag = 1
+let store_flag = 2
 
 let disabled () =
-  { enabled = false; buf = [||]; len = 0; dropped = 0; limit = 0 }
+  { enabled = false; data = [||]; len = 0; dropped = 0; limit = 0 }
 
 let create ?(limit = default_limit) () =
-  { enabled = true; buf = Array.make 256 none; len = 0; dropped = 0; limit }
+  {
+    enabled = true;
+    data = Array.make (stride * first_capacity) 0;
+    len = 0;
+    dropped = 0;
+    limit;
+  }
 
 let record t ~pc ~set ~hit ~store ~prov =
   if t.len >= t.limit then t.dropped <- t.dropped + 1
   else begin
-    if t.len = Array.length t.buf then begin
-      let grown = Array.make (max 256 (2 * t.len)) none in
-      Array.blit t.buf 0 grown 0 t.len;
-      t.buf <- grown
+    let o = stride * t.len in
+    if o = Array.length t.data then begin
+      let grown = Array.make (max (stride * first_capacity) (2 * o)) 0 in
+      Array.blit t.data 0 grown 0 o;
+      t.data <- grown
     end;
-    t.buf.(t.len) <- { e_pc = pc; e_set = set; e_hit = hit; e_store = store; e_prov = prov };
+    let d = t.data in
+    Array.unsafe_set d o pc;
+    Array.unsafe_set d (o + 1) set;
+    Array.unsafe_set d (o + 2)
+      ((if hit then hit_flag else 0) lor if store then store_flag else 0);
+    Array.unsafe_set d (o + 3) prov;
     t.len <- t.len + 1
   end
 
 let length t = t.len
 let dropped t = t.dropped
-let get t i = t.buf.(i)
 
-let entries t = Array.sub t.buf 0 t.len
+let field t i k =
+  if i < 0 || i >= t.len then invalid_arg "Hwtrace: index out of range";
+  Array.unsafe_get t.data ((stride * i) + k)
+
+let pc t i = field t i 0
+let set t i = field t i 1
+let hit t i = field t i 2 land hit_flag <> 0
+let store t i = field t i 2 land store_flag <> 0
+let prov t i = field t i 3
+
+let get t i =
+  { e_pc = pc t i; e_set = set t i; e_hit = hit t i; e_store = store t i; e_prov = prov t i }
+
+let entries t = Array.init t.len (get t)
 
 let clear t =
   t.len <- 0;

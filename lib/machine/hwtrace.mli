@@ -4,7 +4,16 @@
     cache-set index the access mapped to and the hit/miss bit — the
     "hardware trace" of a speculation contract.  Emitted identically
     from the interpreter and the superblock closures, so the trace is a
-    property of the guest execution, not of the engine that ran it. *)
+    property of the guest execution, not of the engine that ran it.
+
+    Storage and cost: entries live unboxed, four ints each in one flat
+    [int array] (pc, set, hit|store flags, prov), 32 bytes per entry on
+    a 64-bit host.  {!record} writes four slots and allocates nothing;
+    the array starts at 256 entries and doubles when full, so growth
+    costs amortised one copy per entry.  Readers take fields through
+    the accessors ({!pc}, {!set}, {!hit}, {!store}, {!prov}), which
+    allocate nothing either; {!get} and {!entries} build boxed
+    {!entry} records for export and tests. *)
 
 type entry = {
   e_pc : int;  (** guest pc of the load/store *)
@@ -18,7 +27,9 @@ type entry = {
 
 type t = {
   mutable enabled : bool;
-  mutable buf : entry array;  (** first [len] slots are live *)
+  mutable data : int array;
+      (** four slots per entry; the first [4 * len] are live.  Treat as
+          private: read through the accessors. *)
   mutable len : int;
   mutable dropped : int;  (** entries past [limit], counted not stored *)
   limit : int;
@@ -38,8 +49,24 @@ val record :
 
 val length : t -> int
 val dropped : t -> int
+
+(** {1 Field accessors}
+
+    [f t i] reads field [f] of entry [i].
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
+val pc : t -> int -> int
+val set : t -> int -> int
+val hit : t -> int -> bool
+val store : t -> int -> bool
+val prov : t -> int -> int
+
 val get : t -> int -> entry
+(** Entry [i] as a record.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
 val entries : t -> entry array
+(** All recorded entries, oldest first. *)
 
 val clear : t -> unit
 (** Forget recorded entries (keeps [enabled] as is). *)

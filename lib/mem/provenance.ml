@@ -91,41 +91,70 @@ let segments t ~addr ~len ~skip_missing f =
   in
   go 0
 
+(* The per-segment bodies: [n] guest bytes from page offset [off].  A
+   span inside one page (every aligned load and store) calls
+   them directly; only a span crossing a page boundary goes through
+   [segments], so the common case builds no closure. *)
+
+let clear_seg p off n = Bytes.fill p (off * slot_size) (n * slot_size) '\000'
+
+let fill_seg p off n id =
+  for i = off to off + n - 1 do
+    Bytes.set_int32_le p (i * slot_size) (Int32.of_int id)
+  done
+
+let count_seg p off n first =
+  for i = 0 to n - 1 do
+    Bytes.set_int32_le p ((off + i) * slot_size) (Int32.of_int (first + i))
+  done
+
+let rec scan_seg p i stop =
+  if i >= stop then 0
+  else
+    let id = Int32.to_int (Bytes.get_int32_le p (i * slot_size)) in
+    if id <> 0 then id else scan_seg p (i + 1) stop
+
+let in_one_page addr len = off_of addr + len <= page_bytes
+
 let set_range t ~addr ~len ~id =
   if len > 0 then
     if id = 0 then
-      segments t ~addr ~len ~skip_missing:true (fun p off n _ ->
-          Bytes.fill p (off * slot_size) (n * slot_size) '\000')
-    else begin
-      let id32 = Int32.of_int id in
-      segments t ~addr ~len ~skip_missing:false (fun p off n _ ->
-          for i = 0 to n - 1 do
-            Bytes.set_int32_le p ((off + i) * slot_size) id32
-          done)
-    end
+      if in_one_page addr len then begin
+        let p = find t addr in
+        if p != no_page then clear_seg p (off_of addr) len
+      end
+      else segments t ~addr ~len ~skip_missing:true (fun p off n _ -> clear_seg p off n)
+    else if in_one_page addr len then fill_seg (page t addr) (off_of addr) len id
+    else segments t ~addr ~len ~skip_missing:false (fun p off n _ -> fill_seg p off n id)
 
 let set_span t ~addr ~len ~first =
   if len > 0 then
-    segments t ~addr ~len ~skip_missing:false (fun p off n base ->
-        for i = 0 to n - 1 do
-          Bytes.set_int32_le p ((off + i) * slot_size)
-            (Int32.of_int (first + base + i))
-        done)
+    if in_one_page addr len then count_seg (page t addr) (off_of addr) len first
+    else
+      segments t ~addr ~len ~skip_missing:false (fun p off n base ->
+          count_seg p off n (first + base))
 
 let first_id t ~addr ~len =
-  let found = ref 0 in
-  (if len > 0 then
-     try
+  if len <= 0 then 0
+  else if in_one_page addr len then begin
+    let p = find t addr in
+    if p == no_page then 0
+    else
+      let off = off_of addr in
+      scan_seg p off (off + len)
+  end
+  else begin
+    let found = ref 0 in
+    (try
        segments t ~addr ~len ~skip_missing:true (fun p off n _ ->
-           for i = 0 to n - 1 do
-             let id = Int32.to_int (Bytes.get_int32_le p ((off + i) * slot_size)) in
-             if id <> 0 && !found = 0 then begin
-               found := id;
-               raise Exit
-             end
-           done)
+           let id = scan_seg p off (off + n) in
+           if id <> 0 then begin
+             found := id;
+             raise Exit
+           end)
      with Exit -> ());
-  !found
+    !found
+  end
 
 let allocated_pages t = Hashtbl.length t.pages
 

@@ -8,10 +8,14 @@
     {!Shift_machine.Flowtrace} — this module only stores and moves them.
 
     The map is paged exactly like {!Memory} (4096 guest bytes per page,
-    allocated on first write) with a single-entry TLB in front, and the
-    span operations mirror the shape of {!Taint.set_range}: one masked
-    walk per page the range touches rather than one hashtable probe per
-    byte.  Reads of never-written pages return [0] without allocating. *)
+    allocated on first write) with a 64-entry direct-mapped TLB in
+    front, and the span operations mirror the shape of
+    {!Taint.set_range}: one masked walk per page the range touches
+    rather than one hashtable probe per byte.  A span inside one page —
+    every aligned guest load and store — is handled directly and, on a TLB hit,
+    allocates nothing; only spans crossing a page boundary pay for the
+    per-segment walk.  Reads of never-written pages return [0] without
+    allocating. *)
 
 type t
 

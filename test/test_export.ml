@@ -118,13 +118,7 @@ let leak_export name =
   | Ok start ->
       let live = start 0 in
       ignore (Session.advance live ~budget:max_int);
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun j ->
-          Shift.Results.to_buffer ~minify:true b j;
-          Buffer.add_char b '\n')
-        (Shift.Leak.trace_json live);
-      (live, Buffer.contents b)
+      (live, Shift.Leak.trace_jsonl live)
 
 let leak_tests =
   List.map
@@ -140,8 +134,158 @@ let leak_tests =
       ("aes-ct", "5e7831b3695005c04bd5dac5a81f0857", "da89a909fc1bb37f");
     ]
 
+(* ---------- the direct writer against the tree encoder ---------- *)
+
+(* The encoder [Flow.jsonl] used before it wrote lines directly: one
+   [Results.json] tree per line, addresses through [Format], kept here
+   as the reference the direct writer must match byte for byte. *)
+module Reference = struct
+  let addr_str a = Format.asprintf "%a" Shift_mem.Addr.pp a
+  let reg_str r = Shift_isa.Reg.to_string r
+
+  let source_json (s : Flowtrace.source) =
+    Shift.Results.Obj
+      [
+        ("line", Shift.Results.String "source");
+        ("sid", Shift.Results.Int s.Flowtrace.sid);
+        ("channel", Shift.Results.String s.channel);
+        ("origin", Shift.Results.String s.origin);
+        ("offset", Shift.Results.Int s.offset);
+        ("len", Shift.Results.Int s.len);
+      ]
+
+  let detail_fields =
+    let open Shift.Results in
+    function
+    | Flowtrace.Ev_birth { src; addr } ->
+        ( "birth",
+          [ ("sid", Int src.Flowtrace.sid) ]
+          @ if Int64.equal addr 0L then [] else [ ("addr", String (addr_str addr)) ] )
+    | Flowtrace.Ev_load { reg; addr; id } ->
+        ("load", [ ("reg", String (reg_str reg)); ("addr", String (addr_str addr)); ("id", Int id) ])
+    | Flowtrace.Ev_prop { dst; src; id; depth } ->
+        ( "prop",
+          [
+            ("dst", String (reg_str dst));
+            ("src", String (reg_str src));
+            ("id", Int id);
+            ("depth", Int depth);
+          ] )
+    | Flowtrace.Ev_store { reg; addr; len; id } ->
+        ( "store",
+          [
+            ("reg", String (reg_str reg));
+            ("addr", String (addr_str addr));
+            ("len", Int len);
+            ("id", Int id);
+          ] )
+    | Flowtrace.Ev_purge { reg } -> ("purge", [ ("reg", String (reg_str reg)) ])
+    | Flowtrace.Ev_check { reg; tainted } ->
+        ("check", [ ("reg", String (reg_str reg)); ("tainted", Bool tainted) ])
+    | Flowtrace.Ev_sink { policy; detail } ->
+        ("sink", [ ("policy", String policy); ("detail", String detail) ])
+
+  let event_json (e : Flowtrace.event) =
+    let ev, fields = detail_fields e.Flowtrace.ev in
+    Shift.Results.Obj
+      ([
+         ("line", Shift.Results.String "event");
+         ("seq", Shift.Results.Int e.seq);
+         ("ip", Shift.Results.Int e.ip);
+         ("ev", Shift.Results.String ev);
+       ]
+      @ fields)
+
+  let line j = Shift.Results.to_string ~minify:true j ^ "\n"
+end
+
+let direct f x =
+  let b = Buffer.create 64 in
+  f b x;
+  Buffer.contents b
+
+module G = QCheck.Gen
+
+(* ints at the edges as well as anywhere in the 63-bit range *)
+let int_gen =
+  G.oneof
+    [
+      G.oneofl [ 0; 1; 9; 10; -1; max_int; min_int; min_int + 1 ];
+      G.small_nat;
+      G.int;
+    ]
+
+(* any of the 8 regions with a 40-bit offset, and arbitrary 64-bit
+   patterns (bits outside the implemented offset included) *)
+let addr_gen =
+  G.oneof
+    [
+      G.map2
+        (fun r off -> Shift_mem.Addr.in_region r (Int64.of_int off))
+        (G.int_bound 7) (G.int_bound ((1 lsl 40) - 1));
+      G.map2 (fun r off -> Shift_mem.Addr.in_region r off) (G.int_bound 7)
+        (G.oneofl [ 0L; 0xfL; 0x10L; 0xffffffffffL ]);
+      G.ui64;
+    ]
+
+let reg_gen = G.oneof [ G.int_bound (Shift_isa.Reg.count - 1); int_gen ]
+
+(* bytes drawn from all 256 values, in strings short and long enough to
+   cross the escaper's 8-byte word steps *)
+let bytes_gen =
+  G.oneof
+    [ G.string_size ~gen:G.char (G.int_bound 40); G.string_size ~gen:G.printable (G.int_bound 40) ]
+
+let source_gen =
+  G.map
+    (fun (sid, channel, origin, (offset, len)) ->
+      { Flowtrace.sid; channel; origin; offset; len })
+    (G.quad int_gen bytes_gen bytes_gen (G.pair int_gen int_gen))
+
+let detail_gen =
+  G.oneof
+    [
+      G.map2
+        (fun src addr -> Flowtrace.Ev_birth { src; addr })
+        source_gen
+        (G.oneof [ G.return 0L; addr_gen ]);
+      G.map3 (fun reg addr id -> Flowtrace.Ev_load { reg; addr; id }) reg_gen addr_gen int_gen;
+      G.map
+        (fun (dst, src, id, depth) -> Flowtrace.Ev_prop { dst; src; id; depth })
+        (G.quad reg_gen reg_gen int_gen int_gen);
+      G.map
+        (fun (reg, addr, len, id) -> Flowtrace.Ev_store { reg; addr; len; id })
+        (G.quad reg_gen addr_gen int_gen int_gen);
+      G.map (fun reg -> Flowtrace.Ev_purge { reg }) reg_gen;
+      G.map2 (fun reg tainted -> Flowtrace.Ev_check { reg; tainted }) reg_gen G.bool;
+      G.map2 (fun policy detail -> Flowtrace.Ev_sink { policy; detail }) bytes_gen bytes_gen;
+    ]
+
+let event_gen = G.map3 (fun seq ip ev -> { Flowtrace.seq; ip; ev }) int_gen int_gen detail_gen
+
+let show_line = Printf.sprintf "%S"
+
+let writer_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"event lines: direct writer = tree encoder" ~count:3000
+         (QCheck.make ~print:(fun e -> show_line (Reference.line (Reference.event_json e))) event_gen)
+         (fun e -> direct Shift.Flow.add_event e = Reference.line (Reference.event_json e)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"source lines: direct writer = tree encoder" ~count:1000
+         (QCheck.make ~print:(fun s -> show_line (Reference.line (Reference.source_json s))) source_gen)
+         (fun s -> direct Shift.Flow.add_source s = Reference.line (Reference.source_json s)));
+    tc "a birth at address 0 has no addr field" (fun () ->
+        let src = { Flowtrace.sid = 3; channel = "spec"; origin = "o"; offset = 0; len = 1 } in
+        Util.check_string "line"
+          "{\"line\":\"event\",\"seq\":0,\"ip\":7,\"ev\":\"birth\",\"sid\":3}\n"
+          (direct Shift.Flow.add_event
+             { Flowtrace.seq = 0; ip = 7; ev = Flowtrace.Ev_birth { src; addr = 0L } }));
+  ]
+
 let suites =
   [
+    ("export.writer", writer_tests);
     ("export.flow-cases", case_tests);
     ("export.flow-ring", ring_tests);
     ("export.leak-trace", leak_tests);

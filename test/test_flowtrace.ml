@@ -70,6 +70,112 @@ let prov_tests =
         Util.check_int "right" 3 (Provenance.get p (a1 0x4006L)));
   ]
 
+(* The span operations against a byte-at-a-time model: a table of
+   non-zero ids and the set of pages a fill has allocated.  Spans start
+   within 64 bytes of a page boundary in a four-page window, so they
+   straddle boundaries and run into pages never written. *)
+type span_op =
+  | Range of int * int * int  (* window offset, length, id *)
+  | Span of int * int * int  (* window offset, length, first id *)
+  | First of int * int
+
+let window = 0x10000L
+let in_window off = a1 (Int64.add window (Int64.of_int off))
+
+let span_op_gen =
+  let open QCheck.Gen in
+  let off = map2 (fun page d -> max 0 ((page * 4096) + d)) (int_bound 3) (int_range (-64) 64) in
+  let len = oneof [ int_range 0 16; int_range 0 200; return 4096; return 4097 ] in
+  let id = oneof [ return 0; int_range 1 1_000; return 0x7fffffff ] in
+  oneof
+    [
+      map3 (fun o l i -> Range (o, l, i)) off len id;
+      map3 (fun o l f -> Span (o, l, f)) off len (int_range 0 1_000_000);
+      map2 (fun o l -> First (o, l)) off len;
+    ]
+
+let show_span_op = function
+  | Range (o, l, i) -> Printf.sprintf "set_range +0x%x len %d id %d" o l i
+  | Span (o, l, f) -> Printf.sprintf "set_span +0x%x len %d first %d" o l f
+  | First (o, l) -> Printf.sprintf "first_id +0x%x len %d" o l
+
+let model_matches ops =
+  let p = Provenance.create () in
+  let ids = Hashtbl.create 64 and pages = Hashtbl.create 8 in
+  let model_set off id =
+    if id = 0 then Hashtbl.remove ids off else Hashtbl.replace ids off id
+  in
+  let touch off len =
+    for k = off to off + len - 1 do
+      Hashtbl.replace pages (k / 4096) ()
+    done
+  in
+  List.for_all
+    (fun op ->
+      match op with
+      | Range (off, len, id) ->
+          Provenance.set_range p ~addr:(in_window off) ~len ~id;
+          if id <> 0 then touch off len;
+          for k = off to off + len - 1 do
+            model_set k id
+          done;
+          true
+      | Span (off, len, first) ->
+          Provenance.set_span p ~addr:(in_window off) ~len ~first;
+          touch off len;
+          for k = 0 to len - 1 do
+            model_set (off + k) (first + k)
+          done;
+          true
+      | First (off, len) ->
+          let rec first k =
+            if k >= off + len then 0
+            else match Hashtbl.find_opt ids k with Some id -> id | None -> first (k + 1)
+          in
+          Provenance.first_id p ~addr:(in_window off) ~len = first off)
+    ops
+  && Provenance.allocated_pages p = Hashtbl.length pages
+  && List.for_all
+       (fun off ->
+         Provenance.get p (in_window off)
+         = Option.value ~default:0 (Hashtbl.find_opt ids off))
+       (List.init (5 * 4096) Fun.id)
+
+(* words allocated by [n] calls of [f], with the TLB already warm *)
+let minor_words_per n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let prov_model_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"span operations = byte-at-a-time model" ~count:300
+         (QCheck.make
+            ~print:(fun ops -> String.concat "; " (List.map show_span_op ops))
+            QCheck.Gen.(list_size (int_range 1 12) span_op_gen))
+         model_matches);
+    tc "single-page first_id and set_range allocate nothing" (fun () ->
+        let p = Provenance.create () in
+        let addr = a1 0x7008L and clean = a1 0x9000L in
+        Provenance.set_range p ~addr ~len:8 ~id:5;
+        (* an allocated page holding no id: first_id scans all of it *)
+        Provenance.set_range p ~addr:clean ~len:8 ~id:1;
+        Provenance.set_range p ~addr:clean ~len:8 ~id:0;
+        let check name f =
+          let w = minor_words_per 1000 f in
+          if w > 0.01 then Alcotest.failf "%s: %.3f words per call" name w
+        in
+        check "first_id hit" (fun () -> ignore (Provenance.first_id p ~addr ~len:8));
+        check "first_id, clean page" (fun () -> ignore (Provenance.first_id p ~addr:clean ~len:4096));
+        check "set_range" (fun () -> Provenance.set_range p ~addr ~len:8 ~id:9);
+        check "set_range clear" (fun () -> Provenance.set_range p ~addr:clean ~len:64 ~id:0);
+        check "set_span" (fun () -> Provenance.set_span p ~addr ~len:8 ~first:3));
+  ]
+
 (* ---------------- CPU hooks on a hand-built program ----------------- *)
 
 (* the Figure-5 lifecycle: speculative-load birth, add propagation, tnat
@@ -243,7 +349,7 @@ let session_tests =
 
 let suites =
   [
-    ("flowtrace.provenance", prov_tests);
+    ("flowtrace.provenance", prov_tests @ prov_model_tests);
     ("flowtrace.hooks", hook_tests);
     ("flowtrace.session", session_tests);
   ]

@@ -99,6 +99,70 @@ let identity_cases =
         prefix @ obs resumed = unbroken);
   ]
 
+(* ---------- the trace buffer ---------- *)
+
+let entry_gen =
+  QCheck.Gen.(
+    map
+      (fun (pc, set, (hit, store), prov) ->
+        { Hw.e_pc = pc; e_set = set; e_hit = hit; e_store = store; e_prov = prov })
+      (quad nat (int_bound 1023) (pair bool bool) (oneof [ return 0; nat ])))
+
+let record_all hw es =
+  List.iter
+    (fun (e : Hw.entry) ->
+      Hw.record hw ~pc:e.Hw.e_pc ~set:e.Hw.e_set ~hit:e.Hw.e_hit ~store:e.Hw.e_store
+        ~prov:e.Hw.e_prov)
+    es
+
+let buffer_cases =
+  [
+    prop "get and entries return what was recorded, past the first capacity" ~count:50
+      (QCheck.make
+         QCheck.Gen.(list_size (int_range 0 1500) entry_gen))
+      (fun es ->
+        let hw = Hw.create () in
+        record_all hw es;
+        Hw.length hw = List.length es
+        && Hw.dropped hw = 0
+        && Array.to_list (Hw.entries hw) = es
+        && List.for_all
+             (fun (i, (e : Hw.entry)) ->
+               Hw.get hw i = e
+               && Hw.pc hw i = e.Hw.e_pc
+               && Hw.set hw i = e.Hw.e_set
+               && Hw.hit hw i = e.Hw.e_hit
+               && Hw.store hw i = e.Hw.e_store
+               && Hw.prov hw i = e.Hw.e_prov)
+             (List.mapi (fun i e -> (i, e)) es));
+    tc "record past the limit counts into dropped" (fun () ->
+        let hw = Hw.create ~limit:300 () in
+        for i = 1 to 1000 do
+          Hw.record hw ~pc:i ~set:(i land 255) ~hit:true ~store:false ~prov:0
+        done;
+        Alcotest.(check int) "kept" 300 (Hw.length hw);
+        Alcotest.(check int) "dropped" 700 (Hw.dropped hw);
+        Alcotest.(check int) "last kept" 300 (Hw.pc hw 299);
+        expect_invalid "get past length" (fun () -> Hw.get hw 300);
+        Hw.clear hw;
+        Alcotest.(check int) "cleared" 0 (Hw.length hw + Hw.dropped hw));
+    tc "record allocates nothing" (fun () ->
+        let hw = Hw.create () in
+        let fill () =
+          for i = 1 to 1000 do
+            Hw.record hw ~pc:i ~set:(i land 255) ~hit:(i land 1 = 0) ~store:(i land 2 = 0)
+              ~prov:i
+          done
+        in
+        (* the first pass grows the array; the timed pass reuses it *)
+        fill ();
+        Hw.clear hw;
+        let w0 = Gc.minor_words () in
+        fill ();
+        let words = Gc.minor_words () -. w0 in
+        if words > 10. then Alcotest.failf "1000 records allocated %.0f words" words);
+  ]
+
 (* ---------- the detector ---------- *)
 
 let detect ?clause ?(superblocks = true) ~count case =
@@ -159,5 +223,6 @@ let suites =
   [
     ("leak:geometry", geometry_cases);
     ("leak:identity", identity_cases);
+    ("leak:buffer", buffer_cases);
     ("leak:detector", detector_cases);
   ]
