@@ -132,6 +132,143 @@ let print_report (r : Shift.Report.t) =
          String.sub r.Shift.Report.output 0 2048 ^ "..."
        else r.Shift.Report.output)
 
+(* ---------- job requests ---------- *)
+
+module Protocol = Shift.Protocol
+module Serve = Shift.Serve
+module Fleet = Shift.Fleet
+module Session = Shift.Session
+
+let name_arg docv doc = Arg.(required & pos 0 (some string) None & info [] ~docv ~doc)
+
+let size_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "size" ] ~docv:"BYTES" ~doc:"Input size (default: each kernel's).")
+
+let safe_arg = Arg.(value & flag & info [ "safe" ] ~doc:"Leave the input files untainted.")
+
+let benign_arg =
+  Arg.(
+    value & flag
+    & info [ "benign" ]
+        ~doc:"For attack cases: use the benign input instead of the exploit.")
+
+(* A job request's arguments, declared once for the one-shot command and
+   its client twin: the kind's name and own options, then --mode,
+   --no-superblocks and --backend.  The request is range-checked by
+   [Protocol.check], as the wire checks it. *)
+let request_term body =
+  let make body mode no_sb backend =
+    Protocol.check (body ~mode ~superblocks:(not no_sb) ~backend)
+  in
+  Term.(const make $ body $ mode_arg $ no_superblocks_arg $ backend_arg)
+
+let run_request =
+  request_term
+    Term.(
+      const (fun kernel size safe ~mode ~superblocks ~backend ->
+          Protocol.Run { kernel; mode; size; safe; superblocks; backend })
+      $ name_arg "KERNEL" "Kernel name." $ size_arg $ safe_arg)
+
+let attack_request =
+  request_term
+    Term.(
+      const (fun case benign ~mode ~superblocks ~backend ->
+          Protocol.Attack { case; mode; benign; superblocks; backend })
+      $ name_arg "NAME" "Attack case (prefix of the program name)." $ benign_arg)
+
+let trace_request =
+  let ring_arg =
+    Arg.(
+      value & opt int 4096
+      & info [ "ring" ] ~docv:"N"
+          ~doc:"Capacity of the event ring buffer (older events are dropped).")
+  in
+  let events_arg =
+    Arg.(
+      value & opt (some string) None
+      & info [ "events" ] ~docv:"KINDS"
+          ~doc:
+            "Comma-separated event kinds to record \
+             (birth,load,prop,store,purge,check,sink); default all.")
+  in
+  request_term
+    Term.(
+      const (fun image benign ring only ~mode ~superblocks ~backend ->
+          Protocol.Trace { image; mode; benign; ring; only; superblocks; backend })
+      $ name_arg "IMAGE"
+          "What to trace: an attack case (prefix of the program name) or a kernel."
+      $ benign_arg $ ring_arg $ events_arg)
+
+let batch_request =
+  let names_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"KERNEL" ~doc:"Kernels to batch (default: the whole suite).")
+  in
+  let retries_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Rerun a crashed job up to $(docv) extra times (from its last \
+             checkpoint when one was taken).")
+  in
+  request_term
+    Term.(
+      const (fun kernels size safe retries ~mode ~superblocks ~backend ->
+          Protocol.Batch { kernels; mode; size; safe; retries; superblocks; backend })
+      $ names_arg $ size_arg $ safe_arg $ retries_arg)
+
+let leak_request =
+  let clause_conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Shift.Leak.clause_of_string s)),
+        fun ppf c -> Format.pp_print_string ppf (Shift.Leak.clause_to_string c) )
+  in
+  let clause_arg =
+    Arg.(
+      value & opt clause_conv Shift.Leak.Ct_seq
+      & info [ "clause" ] ~docv:"CLAUSE"
+          ~doc:
+            "Speculation-contract clause fixing what the attacker observes: \
+             $(b,ct-seq) (the cache-set sequence) or $(b,ct-none) (nothing).")
+  in
+  let variants_arg =
+    Arg.(
+      value & opt int 4
+      & info [ "variants" ] ~docv:"N"
+          ~doc:
+            "Input variants to compare (at least 2); they differ only in the \
+             case's tainted bytes, variant 0 is the baseline.")
+  in
+  request_term
+    Term.(
+      const (fun case clause variants ~mode ~superblocks ~backend ->
+          Protocol.Leak { case; mode; clause; variants; superblocks; backend })
+      $ name_arg "CASE"
+          "Side-channel case (prefix of the program name, e.g. aes-table or \
+           aes-ct)."
+      $ clause_arg $ variants_arg)
+
+(* Resolve a checked request through the catalogue — the one the daemon
+   serves — and hand [k] the request with the work it resolved to.  The
+   catalogue answers each kind with one shape of work: [Job] for
+   run/attack/trace, [Jobs] for batch, [Probe] for leak. *)
+let resolved request k =
+  match
+    Result.bind request (fun r ->
+        Result.map (fun work -> (r, work)) (Shift_catalog.Catalog.standard r))
+  with
+  | Ok (request, work) -> k request work
+  | Error e ->
+      prerr_endline e;
+      1
+
+let to_end live =
+  match Session.advance live ~budget:max_int with `Finished _ | `Yielded -> ()
+
 (* ---------- commands ---------- *)
 
 let list_cmd =
@@ -142,44 +279,20 @@ let list_cmd =
         Printf.printf "  %-8s %s (default input %d bytes)\n" k.Spec.name
           k.Spec.description k.Spec.default_size)
       Spec.all;
-    print_endline "attack cases (shiftc attack NAME):";
+    print_endline
+      "attack cases (shiftc attack/trace NAME; shiftc leak takes the AES cases):";
     List.iter
       (fun (c : Case.t) ->
-        Printf.printf "  %-22s %-22s %s\n" c.Case.program_name c.Case.attack_type
+        Printf.printf "  %-24s %-22s %s\n" c.Case.program_name c.Case.attack_type
           c.Case.cve)
-      Shift_attacks.Attacks.all;
-    print_endline "cross-process attack cases (multi-process OS personality):";
-    List.iter
-      (fun (c : Case.t) ->
-        Printf.printf "  %-22s %-22s %s\n" c.Case.program_name c.Case.attack_type
-          c.Case.cve)
-      Shift_attacks.Attacks.multiproc;
+      (Shift_attacks.Attacks.findable Mode.shift_word);
     print_endline "other: shiftc batch (the kernel suite as a fleet), shiftc httpd";
     0
   in
   Cmd.v (Cmd.info "list" ~doc:"List runnable kernels and attack cases")
     Term.(const run $ const ())
 
-let find_kernel name =
-  match Spec.find name with
-  | Some k -> Ok k
-  | None ->
-      Error
-        (Printf.sprintf "unknown kernel %S; try: %s" name
-           (String.concat ", " (List.map (fun (k : Spec.kernel) -> k.Spec.name) Spec.all)))
-
 let run_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let size_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Input size (default: the kernel's).")
-  in
-  let safe_arg =
-    Arg.(value & flag & info [ "safe" ] ~doc:"Leave the input file untainted.")
-  in
   let every_arg =
     Arg.(
       value & opt (some int) None
@@ -204,79 +317,60 @@ let run_cmd =
              exit with status 3, leaving the run resumable with \
              $(b,shiftc resume) — a deterministic stand-in for a crash.")
   in
-  let run name mode size safe json every file limit no_sb sb_stats backend =
-    match find_kernel name with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok k -> (
-        let mode = Shift.Session.effective_mode ~backend mode in
-        let config =
-          Shift.Session.Config.make ~policy:Policy.default
-            ~setup:(Spec.setup ?size ~tainted:(not safe) k)
-            ~superblocks:(not no_sb) ~backend ()
-        in
-        let finish live =
-          let r = Shift.Session.report live in
-          if json then print_json r
-          else begin
-            Format.printf "kernel %s under %a@." k.Spec.name Mode.pp mode;
-            print_report r
-          end;
-          if sb_stats then
-            print_sb_stats ~json (Shift.Session.superblock_stats live);
-          0
-        in
-        match (every, file) with
-        | None, _ ->
-            let live =
-              Shift.Session.start ~config (Shift.Session.build ~backend ~mode k.Spec.program)
+  let run request json every file limit sb_stats =
+    resolved request (fun request work ->
+        match (request, work) with
+        | Protocol.Run { mode; backend; _ }, Serve.Job job -> (
+            let mode = Session.effective_mode ~backend mode in
+            let finish live =
+              let r = Session.report live in
+              if json then print_json r
+              else begin
+                Format.printf "kernel %s under %a@." (Fleet.name job) Mode.pp mode;
+                print_report r
+              end;
+              if sb_stats then print_sb_stats ~json (Session.superblock_stats live);
+              0
             in
-            (match Shift.Session.advance live ~budget:max_int with
-            | `Finished _ | `Yielded -> ());
-            finish live
-        | Some n, None ->
-            ignore n;
-            prerr_endline "--checkpoint-every requires --checkpoint-file";
-            1
-        | Some n, Some path when n > 0 ->
-            let meta =
-              [
-                ("kernel", k.Spec.name);
-                ("mode", Format.asprintf "%a" Mode.pp mode);
-              ]
-            in
-            let live =
-              Shift.Session.start ~config (Shift.Session.build ~backend ~mode k.Spec.program)
-            in
-            let written = ref 0 in
-            let rec loop () =
-              match Shift.Session.advance live ~budget:n with
-              | `Finished _ -> finish live
-              | `Yielded ->
-                  Shift.Snapshot.save path (Shift.Session.checkpoint ~meta live);
-                  incr written;
-                  if match limit with Some k -> !written >= k | None -> false
-                  then begin
-                    Printf.eprintf
-                      "checkpoint limit reached after %d checkpoints; resume \
-                       with: shiftc resume %s\n"
-                      !written path;
-                    3
-                  end
-                  else loop ()
-            in
-            loop ()
-        | Some _, Some _ ->
-            prerr_endline "--checkpoint-every must be positive";
-            1)
+            match (every, file) with
+            | None, _ ->
+                let live = Fleet.start job in
+                to_end live;
+                finish live
+            | Some _, None ->
+                prerr_endline "--checkpoint-every requires --checkpoint-file";
+                1
+            | Some n, Some path when n > 0 ->
+                let meta =
+                  [ ("kernel", Fleet.name job); ("mode", Format.asprintf "%a" Mode.pp mode) ]
+                in
+                let live = Fleet.start job in
+                let written = ref 0 in
+                let rec loop () =
+                  match Session.advance live ~budget:n with
+                  | `Finished _ -> finish live
+                  | `Yielded ->
+                      Shift.Snapshot.save path (Session.checkpoint ~meta live);
+                      incr written;
+                      if match limit with Some k -> !written >= k | None -> false
+                      then begin
+                        Printf.eprintf
+                          "checkpoint limit reached after %d checkpoints; resume \
+                           with: shiftc resume %s\n"
+                          !written path;
+                        3
+                      end
+                      else loop ()
+                in
+                loop ()
+            | Some _, Some _ ->
+                prerr_endline "--checkpoint-every must be positive";
+                1)
+        | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a SPEC-like kernel on the simulated machine")
-    Term.(
-      const run $ name_arg $ mode_arg $ size_arg $ safe_arg $ json_arg
-      $ every_arg $ file_arg $ limit_arg $ no_superblocks_arg $ sb_stats_arg
-      $ backend_arg)
+    Term.(const run $ run_request $ json_arg $ every_arg $ file_arg $ limit_arg $ sb_stats_arg)
 
 let resume_cmd =
   let file_arg =
@@ -290,10 +384,9 @@ let resume_cmd =
         Printf.eprintf "%s: %s\n" path e;
         1
     | Ok snap ->
-        let live = Shift.Session.restore snap in
-        (match Shift.Session.advance live ~budget:max_int with
-        | `Finished _ | `Yielded -> ());
-        let r = Shift.Session.report live in
+        let live = Session.restore snap in
+        to_end live;
+        let r = Session.report live in
         if json then print_json r
         else begin
           List.iter
@@ -312,12 +405,6 @@ let resume_cmd =
     Term.(const run $ file_arg $ json_arg)
 
 let batch_cmd =
-  let names_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"KERNEL"
-          ~doc:"Kernels to batch (default: the whole suite).")
-  in
   let jobs_arg =
     Arg.(
       value & opt int 0
@@ -326,22 +413,6 @@ let batch_cmd =
             "Domains to run the sessions on (0 = the runtime's \
              recommendation).  The aggregate output is byte-identical at \
              any $(docv).")
-  in
-  let size_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Input size (default: each kernel's).")
-  in
-  let safe_arg =
-    Arg.(value & flag & info [ "safe" ] ~doc:"Leave the input files untainted.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Rerun a crashed job up to $(docv) extra times (from its last \
-             in-memory checkpoint when --checkpoint-every is set).")
   in
   let every_arg =
     Arg.(
@@ -360,97 +431,61 @@ let batch_cmd =
              supervisor contains the crash while every other job still \
              completes.")
   in
-  let run mode names jobs size safe json retries every poison no_sb backend =
-    let mode = Shift.Session.effective_mode ~backend mode in
-    let kernels =
-      match names with
-      | [] -> List.map Result.ok Spec.all
-      | names -> List.map find_kernel names
-    in
-    match List.partition_map (function Ok k -> Left k | Error e -> Right e) kernels with
-    | _, (e :: _ as errors) ->
-        List.iter prerr_endline errors;
-        ignore e;
-        1
-    | kernels, [] ->
-        let session_jobs =
-          List.map
-            (fun (k : Spec.kernel) ->
-              Shift.Fleet.job ~name:k.Spec.name
-                ~config:
-                  (Shift.Session.Config.make ~policy:Policy.default
-                     ~setup:(Spec.setup ?size ~tainted:(not safe) k)
-                     ~superblocks:(not no_sb) ~backend ())
-                (fun () -> Shift.Session.build ~backend ~mode k.Spec.program))
-            kernels
-        in
-        let session_jobs =
-          if poison then
-            session_jobs
-            @ [
-                Shift.Fleet.job ~name:"poisoned" (fun () ->
-                    failwith "poisoned job: image thunk raised");
-              ]
-          else session_jobs
-        in
-        let fleet =
-          Shift.Fleet.run ~domains:jobs ~retries ?checkpoint_every:every
-            session_jobs
-        in
-        if json then
-          print_endline (Shift.Results.to_string (Shift.Fleet.to_json fleet))
-        else begin
-          Format.printf "batch: %d sessions under %a@."
-            (List.length session_jobs) Mode.pp mode;
-          Format.printf "%a@." Shift.Fleet.pp fleet
-        end;
-        if fleet.Shift.Fleet.exited = List.length kernels then 0 else 1
+  let run request domains json every poison =
+    resolved request (fun request work ->
+        match (request, work) with
+        | Protocol.Batch { mode; backend; _ }, Serve.Jobs { jobs; retries } ->
+            let all =
+              if poison then
+                jobs
+                @ [
+                    Fleet.job ~name:"poisoned" (fun () ->
+                        failwith "poisoned job: image thunk raised");
+                  ]
+              else jobs
+            in
+            let fleet = Fleet.run ~domains ~retries ?checkpoint_every:every all in
+            if json then print_endline (Shift.Results.to_string (Fleet.to_json fleet))
+            else begin
+              Format.printf "batch: %d sessions under %a@." (List.length all) Mode.pp
+                (Session.effective_mode ~backend mode);
+              Format.printf "%a@." Fleet.pp fleet
+            end;
+            if fleet.Fleet.exited = List.length jobs then 0 else 1
+        | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
          "Run many kernel sessions as a supervised fleet across domains with \
           a deterministic aggregate report")
-    Term.(
-      const run $ mode_arg $ names_arg $ jobs_arg $ size_arg $ safe_arg
-      $ json_arg $ retries_arg $ every_arg $ poison_arg $ no_superblocks_arg
-      $ backend_arg)
+    Term.(const run $ batch_request $ jobs_arg $ json_arg $ every_arg $ poison_arg)
 
 let attack_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"NAME" ~doc:"Attack case (prefix of the program name).")
-  in
-  let benign_arg =
-    Arg.(value & flag & info [ "benign" ] ~doc:"Use the benign input instead of the exploit.")
-  in
-  let run name mode benign json no_sb backend =
-    match Shift_attacks.Attacks.find name with
-    | None ->
-        prerr_endline "unknown attack case; see `shiftc list`";
-        1
-    | Some c ->
-        let input = if benign then c.Case.benign else c.Case.exploit in
-        (* Case.run brings a multi-process case's process table and aux
-           images along; single-process cases run exactly as before *)
-        let r = Case.run ~superblocks:(not no_sb) ~backend ~mode ~input c in
-        if json then print_json r
-        else begin
-          Format.printf "%s (%s) — %s input under %a@." c.Case.program_name
-            c.Case.cve
-            (if benign then "benign" else "exploit")
-            Mode.pp mode;
-          Format.printf "policies: %s@." c.Case.detection_policies;
-          print_report r
-        end;
-        0
+  let run request json =
+    resolved request (fun request work ->
+        match (request, work) with
+        | Protocol.Attack { mode; benign; _ }, Serve.Job job ->
+            let live = Fleet.start job in
+            to_end live;
+            let r = Session.report live in
+            if json then print_json r
+            else begin
+              (* the case is looked up again for its header only *)
+              let c = Option.get (Shift_attacks.Attacks.find (Fleet.name job)) in
+              Format.printf "%s (%s) — %s input under %a@." c.Case.program_name
+                c.Case.cve
+                (if benign then "benign" else "exploit")
+                Mode.pp mode;
+              Format.printf "policies: %s@." c.Case.detection_policies;
+              print_report r
+            end;
+            0
+        | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run a Table-2 security-evaluation case")
-    Term.(
-      const run $ name_arg $ mode_arg $ benign_arg $ json_arg
-      $ no_superblocks_arg $ backend_arg)
+    Term.(const run $ attack_request $ json_arg)
 
 let httpd_cmd =
   let size_arg =
@@ -509,11 +544,11 @@ let disasm_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
   in
   let run name mode backend =
-    match find_kernel name with
-    | Error e ->
-        prerr_endline e;
+    match Spec.find name with
+    | None ->
+        Printf.eprintf "unknown kernel %S; see `shiftc list`\n" name;
         1
-    | Ok k ->
+    | Some k ->
         let image = Shift.Session.build ~backend ~mode k.Spec.program in
         Format.printf "%a@." Shift_isa.Program.pp_listing
           image.Shift_compiler.Image.program;
@@ -524,145 +559,41 @@ let disasm_cmd =
     Term.(const run $ name_arg $ mode_arg $ backend_arg)
 
 let trace_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"IMAGE"
-          ~doc:"What to trace: an attack case (prefix of the program name) or a kernel.")
-  in
-  let benign_arg =
-    Arg.(
-      value & flag
-      & info [ "benign" ]
-          ~doc:"For attack cases: use the benign input instead of the exploit.")
-  in
-  let ring_arg =
-    Arg.(
-      value & opt int 4096
-      & info [ "ring" ] ~docv:"N"
-          ~doc:"Capacity of the event ring buffer (older events are dropped).")
-  in
-  let events_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "events" ] ~docv:"KINDS"
-          ~doc:
-            "Comma-separated event kinds to record \
-             (birth,load,prop,store,purge,check,sink); default all.")
-  in
-  let parse_kinds = function
-    | None -> Ok None
-    | Some s ->
-        let names = String.split_on_char ',' s in
-        let kinds = List.map Shift.Flowtrace.kind_of_string names in
-        if List.mem None kinds then
-          Error (Printf.sprintf "unknown event kind in %S" s)
-        else Ok (Some (List.filter_map Fun.id kinds))
-  in
-  (* an attack case (policy + canned input) or a kernel (default policy,
-     tainted input file) *)
-  let resolve name =
-    match Shift_attacks.Attacks.find name with
-    | Some c ->
-        Ok
-          (fun ~benign ~trace ~superblocks ~backend ~mode ->
-            let input = if benign then c.Case.benign else c.Case.exploit in
-            ( c.Case.program_name,
-              Case.config ~trace ~superblocks ~backend ~mode ~input c,
-              Case.image ~backend ~mode c ))
-    | None -> (
-        match find_kernel name with
-        | Ok k ->
-            Ok
-              (fun ~benign:_ ~trace ~superblocks ~backend ~mode ->
-                let mode = Shift.Session.effective_mode ~backend mode in
-                ( k.Spec.name,
-                  Shift.Session.Config.make ~policy:Policy.default
-                    ~setup:(Spec.setup ~tainted:true k)
-                    ~trace ~superblocks ~backend (),
-                  Shift.Session.build ~backend ~mode k.Spec.program ))
-        | Error _ ->
-            Error
-              (Printf.sprintf
-                 "unknown image %S: not an attack case or kernel (see `shiftc \
-                  list`)"
-                 name))
-  in
-  let run name mode benign ring events json no_sb backend =
-    match (resolve name, parse_kinds events) with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        1
-    | Ok pick, Ok only ->
-        (* effective_mode is idempotent, so resolving it here (for the
-           printed labels) and again inside the builders agrees *)
-        let mode = Shift.Session.effective_mode ~backend mode in
-        let label, config, image =
-          pick ~benign
-            ~trace:{ Shift.Flowtrace.capacity = ring; only }
-            ~superblocks:(not no_sb) ~backend ~mode
-        in
-        let live = Shift.Session.start ~config image in
-        (match Shift.Session.advance live ~budget:max_int with
-        | `Finished _ | `Yielded -> ());
-        let report = Shift.Session.report live in
-        let ft = Option.get (Shift.Session.flowtrace live) in
-        if json then
-          print_string
-            (Shift.Flow.jsonl
-               ~meta:
-                 [
-                   ("image", Shift.Results.String label);
-                   ("mode", Shift.Results.String (Format.asprintf "%a" Mode.pp mode));
-                 ]
-               ~outcome:report.Shift.Report.outcome ft)
-        else begin
-          Format.printf "flow trace of %s under %a@." label Mode.pp mode;
-          Format.printf "%a@." Shift.Flow.pp ft;
-          Format.printf "outcome: %a@." Shift.Report.pp_outcome
-            report.Shift.Report.outcome
-        end;
-        0
+  let run request json =
+    resolved request (fun request work ->
+        match (request, work) with
+        | Protocol.Trace { mode; backend; _ }, Serve.Job job ->
+            let mode = Session.effective_mode ~backend mode in
+            let live = Fleet.start job in
+            to_end live;
+            let report = Session.report live in
+            let ft = Option.get (Session.flowtrace live) in
+            if json then
+              print_string
+                (Shift.Flow.jsonl
+                   ~meta:
+                     [
+                       ("image", Shift.Results.String (Fleet.name job));
+                       ("mode", Shift.Results.String (Format.asprintf "%a" Mode.pp mode));
+                     ]
+                   ~outcome:report.Shift.Report.outcome ft)
+            else begin
+              Format.printf "flow trace of %s under %a@." (Fleet.name job) Mode.pp mode;
+              Format.printf "%a@." Shift.Flow.pp ft;
+              Format.printf "outcome: %a@." Shift.Report.pp_outcome
+                report.Shift.Report.outcome
+            end;
+            0
+        | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run an attack case or kernel with Flowtrace enabled and dump the \
           taint-flow events (JSONL with --json)")
-    Term.(
-      const run $ name_arg $ mode_arg $ benign_arg $ ring_arg $ events_arg
-      $ json_arg $ no_superblocks_arg $ backend_arg)
+    Term.(const run $ trace_request $ json_arg)
 
 let leak_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CASE"
-          ~doc:
-            "Side-channel case (prefix of the program name, e.g. aes-table \
-             or aes-ct).")
-  in
-  let clause_conv =
-    Arg.conv
-      ( (fun s -> Result.map_error (fun e -> `Msg e) (Shift.Leak.clause_of_string s)),
-        fun ppf c -> Format.pp_print_string ppf (Shift.Leak.clause_to_string c) )
-  in
-  let clause_arg =
-    Arg.(
-      value & opt clause_conv Shift.Leak.Ct_seq
-      & info [ "clause" ] ~docv:"CLAUSE"
-          ~doc:
-            "Speculation-contract clause fixing what the attacker observes: \
-             $(b,ct-seq) (the cache-set sequence) or $(b,ct-none) (nothing).")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "variants" ] ~docv:"N"
-          ~doc:
-            "Input variants to compare (at least 2); they differ only in the \
-             case's tainted bytes, variant 0 is the baseline.")
-  in
   let trace_out_arg =
     Arg.(
       value & opt (some string) None
@@ -671,40 +602,29 @@ let leak_cmd =
             "Also write the baseline variant's hardware trace to $(docv) as \
              JSONL (one access per line, tainted accesses marked).")
   in
-  let run name mode clause variants json trace_out no_sb backend =
-    if variants < 2 then begin
-      prerr_endline "leak: --variants must be at least 2";
-      1
-    end
-    else
-      match
-        Shift_catalog.Catalog.leak_start ~superblocks:(not no_sb) ~backend
-          ~mode name
-      with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok start ->
-          let verdict = Shift.Leak.detect ~clause ~count:variants ~start () in
-          (match trace_out with
-          | None -> ()
-          | Some file ->
-              (* the detector does not keep its variant sessions; re-run
-                 the (deterministic) baseline for the exportable trace *)
-              let live = start 0 in
-              (match Shift.Session.advance live ~budget:max_int with
-              | `Finished _ | `Yielded -> ());
-              let oc = open_out file in
-              output_string oc (Shift.Leak.trace_jsonl live);
-              close_out oc);
-          if json then
-            print_endline
-              (Shift.Results.to_string (Shift.Leak.verdict_to_json verdict))
-          else begin
-            Format.printf "leak probe of %s under %a@." name Mode.pp mode;
-            Format.printf "%a@." Shift.Leak.pp_verdict verdict
-          end;
-          0
+  let run request json trace_out =
+    resolved request (fun request work ->
+        match (request, work) with
+        | Protocol.Leak { case; mode; _ }, Serve.Probe { start; clause; variants } ->
+            let verdict = Shift.Leak.detect ~clause ~count:variants ~start () in
+            (match trace_out with
+            | None -> ()
+            | Some file ->
+                (* the detector does not keep its variant sessions; re-run
+                   the (deterministic) baseline for the exportable trace *)
+                let live = start 0 in
+                to_end live;
+                let oc = open_out file in
+                output_string oc (Shift.Leak.trace_jsonl live);
+                close_out oc);
+            if json then
+              print_endline (Shift.Results.to_string (Shift.Leak.verdict_to_json verdict))
+            else begin
+              Format.printf "leak probe of %s under %a@." case Mode.pp mode;
+              Format.printf "%a@." Shift.Leak.pp_verdict verdict
+            end;
+            0
+        | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "leak"
@@ -712,9 +632,7 @@ let leak_cmd =
          "Probe an attack case for cache side-channel leaks: re-run it under \
           inputs differing only in tainted bytes and flag any \
           contract-visible divergence of the hardware trace")
-    Term.(
-      const run $ name_arg $ mode_arg $ clause_arg $ variants_arg $ json_arg
-      $ trace_out_arg $ no_superblocks_arg $ backend_arg)
+    Term.(const run $ leak_request $ json_arg $ trace_out_arg)
 
 let exec_cmd =
   let file_arg =
@@ -777,9 +695,6 @@ let policies_cmd =
     Term.(const run $ const ())
 
 (* ---------- the resident service ---------- *)
-
-module Protocol = Shift.Protocol
-module Serve = Shift.Serve
 
 let socket_arg =
   Arg.(
@@ -947,166 +862,35 @@ let raw_arg =
 let envelope ?id ?tenant ?deadline ?migrate_every request =
   { Protocol.id; tenant; deadline; migrate_every; request }
 
-let client_run_cmd =
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name.")
-  in
-  let size_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Input size (default: the kernel's).")
-  in
-  let safe_arg =
-    Arg.(value & flag & info [ "safe" ] ~doc:"Leave the input file untainted.")
-  in
-  let run socket raw id tenant deadline migrate name mode size safe no_sb
-      backend =
-    client_round ~socket ~raw ~project:report_field
-      (envelope
-         ~id:(Option.value id ~default:("run:" ^ name))
-         ?tenant ?deadline ?migrate_every:migrate
-         (Protocol.Run
-            {
-              kernel = name;
-              mode;
-              size;
-              safe;
-              superblocks = not no_sb;
-              backend;
-            }))
-  in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Submit a kernel run to the daemon and print its report")
-    Term.(
-      const run $ socket_arg $ raw_arg $ id_arg $ tenant_arg $ deadline_arg
-      $ migrate_every_arg $ name_arg $ mode_arg $ size_arg $ safe_arg
-      $ no_superblocks_arg $ backend_arg)
+(* the id a job request goes out under unless --id names one *)
+let default_id request =
+  let kind = Protocol.kind_of_request request in
+  match request with
+  | Protocol.Run { kernel = name; _ }
+  | Protocol.Attack { case = name; _ }
+  | Protocol.Trace { image = name; _ }
+  | Protocol.Leak { case = name; _ } ->
+      kind ^ ":" ^ name
+  | Protocol.Batch _ | Protocol.Status | Protocol.Drain -> kind
 
-let client_attack_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"NAME" ~doc:"Attack case (prefix of the program name).")
+(* a one-shot command's client twin: the same request term, wrapped in
+   an envelope and sent to the daemon *)
+let client_job_cmd name ~doc ~project request =
+  let run socket raw id tenant deadline migrate_every request =
+    match request with
+    | Error e ->
+        prerr_endline e;
+        1
+    | Ok request ->
+        client_round ~socket ~raw ~project
+          (envelope
+             ~id:(Option.value id ~default:(default_id request))
+             ?tenant ?deadline ?migrate_every request)
   in
-  let benign_arg =
-    Arg.(value & flag & info [ "benign" ] ~doc:"Use the benign input instead of the exploit.")
-  in
-  let run socket raw id tenant deadline migrate name mode benign no_sb backend =
-    client_round ~socket ~raw ~project:report_field
-      (envelope
-         ~id:(Option.value id ~default:("attack:" ^ name))
-         ?tenant ?deadline ?migrate_every:migrate
-         (Protocol.Attack
-            { case = name; mode; benign; superblocks = not no_sb; backend }))
-  in
-  Cmd.v
-    (Cmd.info "attack"
-       ~doc:"Submit a Table-2 attack case to the daemon and print its report")
+  Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ socket_arg $ raw_arg $ id_arg $ tenant_arg $ deadline_arg
-      $ migrate_every_arg $ name_arg $ mode_arg $ benign_arg
-      $ no_superblocks_arg $ backend_arg)
-
-let client_trace_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"IMAGE"
-          ~doc:"What to trace: an attack case (prefix of the program name) or a kernel.")
-  in
-  let benign_arg =
-    Arg.(
-      value & flag
-      & info [ "benign" ]
-          ~doc:"For attack cases: use the benign input instead of the exploit.")
-  in
-  let ring_arg =
-    Arg.(
-      value & opt int 4096
-      & info [ "ring" ] ~docv:"N"
-          ~doc:"Capacity of the event ring buffer (older events are dropped).")
-  in
-  let events_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "events" ] ~docv:"KINDS"
-          ~doc:
-            "Comma-separated event kinds to record \
-             (birth,load,prop,store,purge,check,sink); default all.")
-  in
-  let run socket raw id tenant deadline migrate name mode benign ring events
-      no_sb backend =
-    client_round ~socket ~raw ~project:report_field
-      (envelope
-         ~id:(Option.value id ~default:("trace:" ^ name))
-         ?tenant ?deadline ?migrate_every:migrate
-         (Protocol.Trace
-            {
-              image = name;
-              mode;
-              benign;
-              ring;
-              only = events;
-              superblocks = not no_sb;
-              backend;
-            }))
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Submit a traced run to the daemon; the report carries the \
-          flow-trace summary (for the full event stream use shiftc trace)")
-    Term.(
-      const run $ socket_arg $ raw_arg $ id_arg $ tenant_arg $ deadline_arg
-      $ migrate_every_arg $ name_arg $ mode_arg $ benign_arg $ ring_arg
-      $ events_arg $ no_superblocks_arg $ backend_arg)
-
-let client_batch_cmd =
-  let names_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"KERNEL" ~doc:"Kernels to batch (default: the whole suite).")
-  in
-  let size_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "size" ] ~docv:"BYTES" ~doc:"Input size (default: each kernel's).")
-  in
-  let safe_arg =
-    Arg.(value & flag & info [ "safe" ] ~doc:"Leave the input files untainted.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Retry a crashed job up to $(docv) extra times from its checkpoint.")
-  in
-  let run socket raw id tenant deadline migrate names mode size safe retries
-      no_sb backend =
-    client_round ~socket ~raw ~project:whole_result
-      (envelope
-         ~id:(Option.value id ~default:"batch")
-         ?tenant ?deadline ?migrate_every:migrate
-         (Protocol.Batch
-            {
-              kernels = names;
-              mode;
-              size;
-              safe;
-              retries;
-              superblocks = not no_sb;
-              backend;
-            }))
-  in
-  Cmd.v
-    (Cmd.info "batch"
-       ~doc:
-         "Submit a kernel batch to the daemon and print the aggregate \
-          (byte-identical to shiftc batch --json)")
-    Term.(
-      const run $ socket_arg $ raw_arg $ id_arg $ tenant_arg $ deadline_arg
-      $ migrate_every_arg $ names_arg $ mode_arg $ size_arg $ safe_arg
-      $ retries_arg $ no_superblocks_arg $ backend_arg)
+      $ migrate_every_arg $ request)
 
 let client_status_cmd =
   let run socket raw id tenant =
@@ -1128,54 +912,6 @@ let client_drain_cmd =
          "Stop admission, wait for in-flight jobs to finish, then shut the \
           daemon down")
     Term.(const run $ socket_arg $ raw_arg $ id_arg $ tenant_arg)
-
-let client_leak_cmd =
-  let name_arg =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"CASE"
-          ~doc:"Side-channel case (prefix of the program name).")
-  in
-  let clause_arg =
-    Arg.(
-      value & opt string "ct-seq"
-      & info [ "clause" ] ~docv:"CLAUSE"
-          ~doc:"Contract clause: $(b,ct-seq) or $(b,ct-none).")
-  in
-  let variants_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "variants" ] ~docv:"N" ~doc:"Input variants to compare (≥ 2).")
-  in
-  let run socket raw id tenant name mode clause variants no_sb backend =
-    match Shift.Leak.clause_of_string clause with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok clause ->
-        client_round ~socket ~raw ~project:whole_result
-          (envelope
-             ~id:(Option.value id ~default:("leak:" ^ name))
-             ?tenant
-             (Protocol.Leak
-                {
-                  case = name;
-                  mode;
-                  clause;
-                  variants;
-                  superblocks = not no_sb;
-                  backend;
-                }))
-  in
-  Cmd.v
-    (Cmd.info "leak"
-       ~doc:
-         "Submit a side-channel leak probe to the daemon and print its \
-          verdict (byte-identical to shiftc leak --json)")
-    Term.(
-      const run $ socket_arg $ raw_arg $ id_arg $ tenant_arg $ name_arg
-      $ mode_arg $ clause_arg $ variants_arg $ no_superblocks_arg
-      $ backend_arg)
 
 let client_raw_cmd =
   let line_arg =
@@ -1220,8 +956,25 @@ let client_cmd =
          "Talk to a running shiftc serve daemon over its socket (see \
           docs/PROTOCOL.md for the wire format)")
     [
-      client_run_cmd; client_attack_cmd; client_trace_cmd; client_batch_cmd;
-      client_leak_cmd; client_status_cmd; client_drain_cmd; client_raw_cmd;
+      client_job_cmd "run" ~project:report_field run_request
+        ~doc:"Submit a kernel run to the daemon and print its report";
+      client_job_cmd "attack" ~project:report_field attack_request
+        ~doc:"Submit a Table-2 attack case to the daemon and print its report";
+      client_job_cmd "trace" ~project:report_field trace_request
+        ~doc:
+          "Submit a traced run to the daemon; the report carries the \
+           flow-trace summary (for the full event stream use shiftc trace)";
+      client_job_cmd "batch" ~project:whole_result batch_request
+        ~doc:
+          "Submit a kernel batch to the daemon and print the aggregate \
+           (byte-identical to shiftc batch --json)";
+      client_job_cmd "leak" ~project:whole_result leak_request
+        ~doc:
+          "Submit a side-channel leak probe to the daemon and print its \
+           verdict (byte-identical to shiftc leak --json)";
+      client_status_cmd;
+      client_drain_cmd;
+      client_raw_cmd;
     ]
 
 let () =

@@ -62,14 +62,17 @@ let registry_for addr =
   Buffer.contents b
 
 (* Registry contents hold real code addresses, which depend on the
-   compilation mode (the attacker is assumed to know the binary); the
-   case is therefore built per mode.  The address is read off the
-   nat-backend image in the case's own cache, so a run resolves it
-   without compiling inside its world setup. *)
-let case_for_mode mode =
-  let cache = Shift.Session.image_cache () in
+   image the case runs (the attacker is assumed to know the binary): its
+   effective mode and its backend, which keeps taint markers in the
+   coprocessor's stream.  The case is therefore built per mode and
+   backend, and every build shares one cache, so the addresses are read
+   off the very image the case's runs start from, without compiling
+   inside a world setup. *)
+let cache = Shift.Session.image_cache ()
+
+let case_for ?backend mode =
   let code_addr label =
-    let image = Shift.Session.build ~cache ~mode program in
+    let image = Shift.Session.build ~cache ?backend ~mode program in
     Int64.of_int (Shift_isa.Program.target image.Shift_compiler.Image.program label)
   in
   {

@@ -1,13 +1,14 @@
-(** The standard job catalogue for [shiftc serve].
+(** The standard job catalogue: the one place where a request's names
+    and options become sessions.
 
-    Maps the wire protocol's names — kernels from
+    Resolves the wire protocol's names — kernels from
     {!Shift_workloads.Spec}, attack cases from {!Shift_attacks.Attacks}
-    — to {!Shift.Fleet.job}s whose configurations mirror the one-shot
-    CLI commands {e exactly}: a [run] job uses the same policy, setup
-    and fuel as [shiftc run], an [attack] job the same as
-    [shiftc attack], and a [batch] job list the same as [shiftc batch].
-    That mirroring is what makes the CI determinism gate sound: the
-    served report JSON is [cmp]-equal to the solo command's.
+    — to the work a {!Shift.Protocol.request} runs.  [shiftc serve]
+    and [shiftc]'s one-shot commands ([run], [attack], [trace],
+    [batch], [leak]) all resolve their request here and run what comes
+    back, so a served report is byte-identical to the solo command's by
+    construction; the CI [cmp] steps keep checking slicing, migration
+    and the wire.
 
     Lives outside [lib/core] because the core library cannot depend on
     the workload and attack suites. *)
@@ -23,12 +24,12 @@ val leak_start :
     session under variant [i]'s input.  Every variant starts from the
     case's cached image ({!Shift_attacks.Attack_case.image}), shared with
     every other detection and run of the case under the same mode and
-    backend.  [Error]
-    if the name is unknown or the case carries no variants.  [shiftc leak], the serve [leak]
-    job and the sidechannel experiment all build their sessions here,
-    so their observations cannot drift. *)
+    backend.  [Error] if the name is unknown or the case carries no
+    variants.  The [leak] request, the sidechannel experiment and the
+    benchmark all build their sessions here, so their observations
+    cannot drift. *)
 
 val standard : Shift.Serve.catalog
-(** The catalogue over the SPEC-like kernel suite and the Table-2
-    attack cases.  Resolvers return [Error msg] (listing the known
-    names) for anything the suites don't contain. *)
+(** The catalogue over the SPEC-like kernel suite and every case
+    {!Shift_attacks.Attacks.find} resolves.  [Error msg] (listing the
+    known names) for anything the suites don't contain. *)

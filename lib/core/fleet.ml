@@ -41,6 +41,8 @@ let effective_config (j : job) =
 
 (* ---------- the single-job supervised driver ---------- *)
 
+let start (j : job) = Session.start ~config:(effective_config j) (j.image ())
+
 type step =
   | Done of Report.t
   | Parked of Snapshot.t
@@ -60,7 +62,6 @@ type step =
    byte-identical however a run is cut (test/test_snapshot.ml). *)
 let step ?(slice = max_int) ?park_after ?(checkpoint_slices = false)
     ?on_checkpoint ?resume ?on_slice (j : job) =
-  let config = effective_config j in
   let checkpoint live =
     let snap = Session.checkpoint live in
     Option.iter (fun f -> f snap) on_checkpoint;
@@ -79,7 +80,7 @@ let step ?(slice = max_int) ?park_after ?(checkpoint_slices = false)
     let live =
       match resume with
       | Some snap -> Session.restore snap
-      | None -> Session.start ~config (j.image ())
+      | None -> start j
     in
     let rec loop yields =
       match timed live with

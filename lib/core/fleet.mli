@@ -71,6 +71,12 @@ type t = {
     scheduler are both built from: one supervised stretch of one job's
     session. *)
 
+val start : job -> Session.live
+(** Build the job's image and start its session under the job's config,
+    deadline applied — the session {!step} drives, for a front end that
+    needs it live (checkpoint files, superblock counters, the flow
+    trace). *)
+
 (** How a stretch ended. *)
 type step =
   | Done of Report.t  (** the session ran to completion *)

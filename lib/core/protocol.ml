@@ -162,6 +162,36 @@ let positive name v =
   | Some n when n <= 0 -> Error (Printf.sprintf "field %S must be positive" name)
   | v -> Ok v
 
+(* a trace's [events] field as Flowtrace event kinds *)
+let event_kinds s =
+  let kinds =
+    List.map Shift_machine.Flowtrace.kind_of_string (String.split_on_char ',' s)
+  in
+  if List.mem None kinds then Error (Printf.sprintf "unknown event kind in %S" s)
+  else Ok (List.filter_map Fun.id kinds)
+
+(* the range check every request passes, off the wire or off the
+   command line *)
+let check request =
+  let at_least bound what name v =
+    if v >= bound then Ok ()
+    else Error (Printf.sprintf "field %S must be %s" name what)
+  in
+  let size = function None -> Ok () | Some n -> at_least 1 "positive" "size" n in
+  let* () =
+    match request with
+    | Run { size = s; _ } -> size s
+    | Batch { size = s; retries; _ } ->
+        let* () = size s in
+        at_least 0 "non-negative" "retries" retries
+    | Trace { ring; only; _ } ->
+        let* () = at_least 1 "positive" "ring" ring in
+        Option.fold ~none:(Ok ()) ~some:(fun s -> Result.map ignore (event_kinds s)) only
+    | Leak { variants; _ } -> at_least 2 "at least 2" "variants" variants
+    | Attack _ | Status | Drain -> Ok ()
+  in
+  Ok request
+
 (* ---------- hello ---------- *)
 
 let hello_of_json j =
@@ -184,7 +214,6 @@ let body_of_json kind j =
       in
       let* mode = mode_field j in
       let* size = int_field "size" j in
-      let* size = positive "size" size in
       let* safe = bool_field "safe" j in
       let* superblocks = bool_field "superblocks" j in
       let* backend = backend_field j in
@@ -220,7 +249,6 @@ let body_of_json kind j =
       let* mode = mode_field j in
       let* benign = bool_field "benign" j in
       let* ring = int_field "ring" j in
-      let* ring = positive "ring" ring in
       let* only = string_field "events" j in
       let* superblocks = bool_field "superblocks" j in
       let* backend = backend_field j in
@@ -239,14 +267,8 @@ let body_of_json kind j =
       let* kernels = string_list_field "kernels" j in
       let* mode = mode_field j in
       let* size = int_field "size" j in
-      let* size = positive "size" size in
       let* safe = bool_field "safe" j in
       let* retries = int_field "retries" j in
-      let* () =
-        match retries with
-        | Some n when n < 0 -> Error "field \"retries\" must be non-negative"
-        | _ -> Ok ()
-      in
       let* superblocks = bool_field "superblocks" j in
       let* backend = backend_field j in
       Ok
@@ -271,11 +293,6 @@ let body_of_json kind j =
         | Some s -> Leak.clause_of_string s
       in
       let* variants = int_field "variants" j in
-      let* () =
-        match variants with
-        | Some n when n < 2 -> Error "field \"variants\" must be at least 2"
-        | _ -> Ok ()
-      in
       let* superblocks = bool_field "superblocks" j in
       let* backend = backend_field j in
       Ok
@@ -317,7 +334,7 @@ let request_of_json j =
             let* deadline = positive "deadline" deadline in
             let* migrate_every = int_field "migrate_every" j in
             let* migrate_every = positive "migrate_every" migrate_every in
-            let* request = body_of_json kind j in
+            let* request = Result.bind (body_of_json kind j) check in
             Ok { id; tenant; deadline; migrate_every; request }
           in
           match parsed with

@@ -125,10 +125,21 @@ type envelope = {
 
 val kind_of_request : request -> string
 
+val check : request -> (request, string) result
+(** The one range check on request values, applied by the wire parser
+    and by [shiftc]'s request arguments alike: [size] and [ring]
+    positive, [retries] non-negative, [variants] at least 2, and
+    [events] naming only known kinds ({!event_kinds}).  [Error] carries
+    the message the wire answers with [bad_request]. *)
+
+val event_kinds : string -> (Shift_machine.Flowtrace.kind list, string) result
+(** Parse a comma-separated [events] list into Flowtrace event kinds. *)
+
 val hello_of_json : Results.json -> (int, string) result
 (** Extract the [proto_version] of a hello line. *)
 
 val request_of_json : Results.json -> (envelope, error) result
+(** Parse an envelope; the body must pass {!check}. *)
 
 val of_line : ?max_bytes:int -> string -> (envelope, error) result
 (** Parse one request line: length cap ([Oversized]), JSON parse

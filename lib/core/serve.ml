@@ -5,48 +5,12 @@
 
 module J = Results
 
-type catalog = {
-  kernel_job :
-    mode:Shift_compiler.Mode.t ->
-    size:int option ->
-    safe:bool ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (Fleet.job, string) result;
-  attack_job :
-    mode:Shift_compiler.Mode.t ->
-    benign:bool ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (Fleet.job, string) result;
-  trace_job :
-    mode:Shift_compiler.Mode.t ->
-    benign:bool ->
-    ring:int ->
-    only:string option ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (Fleet.job, string) result;
-  batch_jobs :
-    mode:Shift_compiler.Mode.t ->
-    size:int option ->
-    safe:bool ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string list ->
-    (Fleet.job list, string) result;
-  leak_job :
-    mode:Shift_compiler.Mode.t ->
-    clause:Leak.clause ->
-    variants:int ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (unit -> Leak.verdict, string) result;
-}
+type work =
+  | Job of Fleet.job
+  | Jobs of { jobs : Fleet.job list; retries : int }
+  | Probe of { start : int -> Session.live; clause : Leak.clause; variants : int }
+
+type catalog = Protocol.request -> (work, string) result
 
 (* ---------- the scheduler ---------- *)
 
@@ -391,71 +355,33 @@ module Server = struct
           jobs
     in
     let dispatch conn (env : Protocol.envelope) =
-      let refuse_if_draining k =
-        if !draining then
-          send_error conn ?id:env.id Protocol.Draining
-            "the server is draining and admits no new jobs"
-        else k ()
-      in
-      let with_id k =
-        match env.id with
-        | Some _ -> k ()
-        | None ->
-            send_error conn Protocol.Bad_request
-              "job requests require an \"id\" to correlate the response"
-      in
-      let resolved k = function
-        | Ok v -> k v
-        | Error message -> send_error conn ?id:env.id Protocol.Unknown_name message
-      in
       match env.request with
       | Protocol.Status -> reply_ok conn ?id:env.id ?tenant:env.tenant (status_json ())
       | Protocol.Drain ->
           draining := true;
           drain_waiters := (conn, env.id, env.tenant) :: !drain_waiters
-      | Protocol.Run { kernel; mode; size; safe; superblocks; backend } ->
-          refuse_if_draining (fun () ->
-              with_id (fun () ->
-                  resolved (submit_single conn env)
-                    (catalog.kernel_job ~mode ~size ~safe ~superblocks ~backend
-                       kernel)))
-      | Protocol.Attack { case; mode; benign; superblocks; backend } ->
-          refuse_if_draining (fun () ->
-              with_id (fun () ->
-                  resolved (submit_single conn env)
-                    (catalog.attack_job ~mode ~benign ~superblocks ~backend case)))
-      | Protocol.Trace { image; mode; benign; ring; only; superblocks; backend }
-        ->
-          refuse_if_draining (fun () ->
-              with_id (fun () ->
-                  resolved (submit_single conn env)
-                    (catalog.trace_job ~mode ~benign ~ring ~only ~superblocks
-                       ~backend image)))
-      | Protocol.Batch { kernels; mode; size; safe; retries; superblocks; backend }
-        ->
-          refuse_if_draining (fun () ->
-              with_id (fun () ->
-                  resolved
-                    (submit_batch conn env retries)
-                    (catalog.batch_jobs ~mode ~size ~safe ~superblocks ~backend
-                       kernels)))
-      | Protocol.Leak { case; mode; clause; variants; superblocks; backend } ->
-          (* a leak probe is a handful of ordinary sessions run to
-             completion, so it is answered synchronously rather than
-             going through the scheduler *)
-          refuse_if_draining (fun () ->
-              with_id (fun () ->
-                  resolved
-                    (fun run ->
-                      match run () with
-                      | verdict ->
-                          reply_ok conn ?id:env.id ?tenant:env.tenant
-                            (Leak.verdict_to_json verdict)
-                      | exception e ->
-                          send_error conn ?id:env.id Protocol.Job_crashed
-                            (Printexc.to_string e))
-                    (catalog.leak_job ~mode ~clause ~variants ~superblocks
-                       ~backend case)))
+      | _ when !draining ->
+          send_error conn ?id:env.id Protocol.Draining
+            "the server is draining and admits no new jobs"
+      | _ when env.id = None ->
+          send_error conn Protocol.Bad_request
+            "job requests require an \"id\" to correlate the response"
+      | request -> (
+          match catalog request with
+          | Error message -> send_error conn ?id:env.id Protocol.Unknown_name message
+          | Ok (Job job) -> submit_single conn env job
+          | Ok (Jobs { jobs; retries }) -> submit_batch conn env retries jobs
+          | Ok (Probe { start; clause; variants }) -> (
+              (* a leak probe is a handful of ordinary sessions run to
+                 completion, so it is answered synchronously rather than
+                 going through the scheduler *)
+              match Leak.detect ~clause ~count:variants ~start () with
+              | verdict ->
+                  reply_ok conn ?id:env.id ?tenant:env.tenant
+                    (Leak.verdict_to_json verdict)
+              | exception e ->
+                  send_error conn ?id:env.id Protocol.Job_crashed
+                    (Printexc.to_string e)))
     in
     let process_line conn line =
       if String.length line > 0 then

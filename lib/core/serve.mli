@@ -2,9 +2,9 @@
 
     Three layers, separable so each is testable on its own:
 
-    - a {!catalog} maps protocol names (kernel, attack case, traceable
-      image) to {!Fleet.job}s — injected by the caller, because the
-      core library cannot depend on the workload/attack suites;
+    - a {!catalog} turns a job request into the work it runs —
+      injected by the caller, because the core library cannot depend on
+      the workload/attack suites;
     - a {!Scheduler} admits jobs, drives their sessions in bounded
       engine slices ({!Session.advance} via {!Fleet.step}) on a
       resident {!Pool.Workers} domain pool, migrates a running session
@@ -22,58 +22,28 @@
 
 (** {1 Job catalogues} *)
 
-(** How the server turns protocol names into runnable jobs.  Each
-    resolver returns [Error msg] for an unknown name; the server maps
-    that to an [unknown_name] protocol error.  The standard catalogue
-    over the SPEC-like kernels and the Table-2 attack suite lives in
-    [lib/catalog] (the core library cannot depend on those suites). *)
-type catalog = {
-  kernel_job :
-    mode:Shift_compiler.Mode.t ->
-    size:int option ->
-    safe:bool ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (Fleet.job, string) result;
-  attack_job :
-    mode:Shift_compiler.Mode.t ->
-    benign:bool ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (Fleet.job, string) result;
-  trace_job :
-    mode:Shift_compiler.Mode.t ->
-    benign:bool ->
-    ring:int ->
-    only:string option ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (Fleet.job, string) result;
-  batch_jobs :
-    mode:Shift_compiler.Mode.t ->
-    size:int option ->
-    safe:bool ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string list ->
-    (Fleet.job list, string) result;
-      (** [[]] means the catalogue's whole suite *)
-  leak_job :
-    mode:Shift_compiler.Mode.t ->
-    clause:Leak.clause ->
-    variants:int ->
-    superblocks:bool ->
-    backend:Shift_tracking.Backend.t ->
-    string ->
-    (unit -> Leak.verdict, string) result;
-      (** The leakage detector over a named attack case's input
-          variants; the thunk runs all variant sessions to completion
-          (the server answers synchronously — a leak probe is a handful
-          of ordinary sessions, not a schedulable long-running job). *)
-}
+(** What a job request runs. *)
+type work =
+  | Job of Fleet.job  (** one scheduled session: [run], [attack], [trace] *)
+  | Jobs of { jobs : Fleet.job list; retries : int }
+      (** a batch, answered with its {!Fleet.aggregate}; [retries] is
+          each job's crash-retry budget *)
+  | Probe of { start : int -> Session.live; clause : Leak.clause; variants : int }
+      (** a leakage probe: {!Leak.detect} over [variants] sessions,
+          [start i] beginning variant [i].  The server answers it
+          synchronously — a probe is a handful of ordinary sessions,
+          not a schedulable long-running job. *)
+
+type catalog = Protocol.request -> (work, string) result
+(** How a job request becomes work: the one resolver of names and
+    options to sessions, shared by the server and by [shiftc]'s one-shot
+    commands, which resolve their request through it and run what comes
+    back — so a served result equals the solo one by construction.
+    [Error msg] means an unknown name; the server answers it with
+    [unknown_name].  [Status] and [Drain] are the server's own and never
+    reach the catalogue.  The standard catalogue over the SPEC-like
+    kernels and the attack suites lives in [lib/catalog] (the core
+    library cannot depend on those suites). *)
 
 (** {1 The scheduler} *)
 

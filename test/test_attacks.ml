@@ -268,6 +268,76 @@ let provenance_tests =
                  | None -> Alcotest.fail "expected an alert")))
     Shift_attacks.Attacks.all
 
+(* the catalogue's attack path: what [shiftc attack], its client twin
+   and the daemon all run *)
+let resolve_attack ?(mode = Mode.shift_word) ?(backend = Shift.Backend.Nat) ?(benign = false)
+    case =
+  Shift_catalog.Catalog.standard
+    (Shift.Protocol.Attack { case; mode; benign; superblocks = true; backend })
+
+let outcome_of_job = function
+  | Ok (Shift.Serve.Job job) -> (
+      match Shift.Fleet.step job with
+      | Shift.Fleet.Done r -> (
+          match r.Shift.Report.outcome with
+          | Shift.Report.Exited code -> Printf.sprintf "exited(%Ld)" code
+          | Shift.Report.Alert a -> "[" ^ a.Shift_policy.Alert.policy ^ "]"
+          | o -> Format.asprintf "%a" Shift.Report.pp_outcome o)
+      | _ -> Alcotest.fail "the job did not finish")
+  | Ok _ -> Alcotest.fail "an attack request resolved to other work"
+  | Error e -> Alcotest.fail e
+
+let catalogue_tests =
+  [
+    (* the registry names handler addresses of the image that runs, so
+       the benign dispatch works under every mode and backend, and the
+       hijack is stopped wherever taint is tracked *)
+    tc "plugin-host registry addresses follow the mode and backend" (fun () ->
+        let cells =
+          List.concat_map
+            (fun backend ->
+              List.map
+                (fun (label, mode) ->
+                  let cell benign =
+                    outcome_of_job (resolve_attack ~mode ~backend ~benign "plugin-host")
+                  in
+                  (Shift.Backend.to_string backend ^ "/" ^ label, cell true, cell false))
+                [ ("word", Mode.shift_word); ("byte", Mode.shift_byte); ("none", Mode.Uninstrumented) ])
+            [ Shift.Backend.Nat; Shift.Backend.Coproc; Shift.Backend.Off ]
+        in
+        let expected =
+          List.map
+            (fun (cell, exploit) -> (cell, "exited(10)", exploit))
+            [
+              ("nat/word", "[L3]"); ("nat/byte", "[L3]"); ("nat/none", "exited(99)");
+              ("coproc/word", "[L3]"); ("coproc/byte", "[L3]"); ("coproc/none", "[L3]");
+              ("none/word", "exited(99)"); ("none/byte", "exited(99)"); ("none/none", "exited(99)");
+            ]
+        in
+        Alcotest.(check (list (triple string string string)))
+          "benign and exploit outcome per backend/mode" expected cells);
+    tc "every case find lists resolves; an unknown name lists them all" (fun () ->
+        let listed =
+          List.map
+            (fun (c : Case.t) -> c.Case.program_name)
+            (Shift_attacks.Attacks.findable Mode.shift_word)
+        in
+        List.iter
+          (fun name ->
+            match resolve_attack name with
+            | Ok (Shift.Serve.Job job) ->
+                Util.check_string "resolved case" name (Shift.Fleet.name job)
+            | Ok _ -> Alcotest.fail "an attack request resolved to other work"
+            | Error e -> Alcotest.fail e)
+          listed;
+        match resolve_attack "no-such-case" with
+        | Ok _ -> Alcotest.fail "an unknown name resolved"
+        | Error e ->
+            List.iter
+              (fun name -> Util.check_bool ("error names " ^ name) true (Str_exists.contains e name))
+              listed);
+  ]
+
 let suites =
   [
     ("attacks.benign", benign_tests);
@@ -277,4 +347,5 @@ let suites =
     ("attacks.extended", extended_tests);
     ("attacks.multiproc", multiproc_tests);
     ("attacks.provenance", provenance_tests);
+    ("attacks.catalogue", catalogue_tests);
   ]

@@ -41,6 +41,73 @@ let solo_json name =
 
 (* ---------- the wire protocol ---------- *)
 
+(* [request_of_json] after [request_to_json] gives the envelope back
+   exactly when [Protocol.check] accepts its request: the check is the
+   only range test on request values, and every value it accepts
+   survives the wire *)
+module G = QCheck.Gen
+
+let request_gen =
+  let open G in
+  let int = oneof [ oneofl [ -1; 0; 1; 2 ]; small_signed_int; G.int ] in
+  let str = oneof [ string_size ~gen:char (int_bound 12); string_size ~gen:printable (int_bound 12) ] in
+  let mode = oneofl Util.all_modes in
+  let backend = oneofl [ Shift.Backend.Nat; Shift.Backend.Coproc; Shift.Backend.Off ] in
+  let events =
+    oneof
+      [
+        str;
+        map (String.concat ",")
+          (list_size (int_range 1 3)
+             (oneofl [ "birth"; "load"; "prop"; "store"; "purge"; "check"; "sink" ]));
+      ]
+  in
+  oneof
+    [
+      (let* kernel = str and* mode = mode and* size = opt int and* safe = bool
+       and* superblocks = bool and* backend = backend in
+       return (Protocol.Run { kernel; mode; size; safe; superblocks; backend }));
+      (let* case = str and* mode = mode and* benign = bool and* superblocks = bool
+       and* backend = backend in
+       return (Protocol.Attack { case; mode; benign; superblocks; backend }));
+      (let* image = str and* mode = mode and* benign = bool and* ring = int
+       and* only = opt events and* superblocks = bool and* backend = backend in
+       return (Protocol.Trace { image; mode; benign; ring; only; superblocks; backend }));
+      (let* kernels = list_size (int_bound 3) str and* mode = mode and* size = opt int
+       and* safe = bool and* retries = int and* superblocks = bool and* backend = backend in
+       return (Protocol.Batch { kernels; mode; size; safe; retries; superblocks; backend }));
+      (let* case = str and* mode = mode
+       and* clause = oneofl [ Shift.Leak.Ct_seq; Shift.Leak.Ct_none ]
+       and* variants = int and* superblocks = bool and* backend = backend in
+       return (Protocol.Leak { case; mode; clause; variants; superblocks; backend }));
+      oneofl [ Protocol.Status; Protocol.Drain ];
+    ]
+
+let envelope_gen =
+  let open G in
+  let* id = opt (string_size ~gen:char (int_bound 8))
+  and* tenant = opt (string_size ~gen:char (int_bound 8))
+  and* deadline = opt (int_range 1 max_int)
+  and* migrate_every = opt (int_range 1 1000)
+  and* request = request_gen in
+  return { Protocol.id; tenant; deadline; migrate_every; request }
+
+let round_trip_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"a request survives the wire iff Protocol.check accepts it"
+       (QCheck.make
+          ~print:(fun env -> Protocol.to_line (Protocol.request_to_json env))
+          envelope_gen)
+       (fun env ->
+         match
+           ( Protocol.request_of_json (Protocol.request_to_json env),
+             Protocol.check env.Protocol.request )
+         with
+         | Ok back, Ok _ -> back = env
+         | Error e, Error message ->
+             e.Protocol.code = Protocol.Bad_request && e.Protocol.message = message
+         | Ok _, Error _ | Error _, Ok _ -> false))
+
 let parse_error line =
   match Protocol.of_line line with
   | Error e -> e
@@ -205,6 +272,19 @@ let protocol_tests =
         Util.check_string "error id" "j2" (Option.get (Protocol.response_id err));
         Util.check_bool "single line" false
           (String.contains (Protocol.to_line ok) '\n'));
+    tc "out-of-range values are bad_request, an unknown event kind too" (fun () ->
+        List.iter
+          (fun (line, message) ->
+            let e = parse_error line in
+            Util.check_string line "bad_request" (Protocol.error_code_to_string e.Protocol.code);
+            Util.check_string line message e.Protocol.message)
+          [
+            ({|{"kind":"trace","image":"gnu tar","ring":0}|}, {|field "ring" must be positive|});
+            ({|{"kind":"trace","image":"gnu tar","events":"bogus"}|}, {|unknown event kind in "bogus"|});
+            ({|{"kind":"batch","retries":-1}|}, {|field "retries" must be non-negative|});
+            ({|{"kind":"leak","case":"aes-table","variants":1}|}, {|field "variants" must be at least 2|});
+          ]);
+    round_trip_property;
     tc "the kind and error-code catalogues are complete" (fun () ->
         Util.check_int "kinds" 7 (List.length Protocol.kinds);
         List.iter
