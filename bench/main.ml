@@ -3,7 +3,8 @@
 
    Usage:
      main.exe [OPTIONS] [table1|table2|fig6|fig7|fig8|fig9|table3|lift|
-               ablation|speculation|bechamel]...
+               ablation|speculation|throughput|backends|sidechannel|
+               bechamel]...
 
    Options:
      -j N         run the experiment grids on N domains
@@ -31,9 +32,6 @@ let experiments =
     ("ablation", Exp_spec.ablation);
     ("speculation", Exp_speculation.speculation);
     ("throughput", Exp_throughput.throughput);
-    ("fleet", Exp_fleet.fleet);
-    ("trace", Exp_trace.trace);
-    ("serve", Exp_serve.serve);
     ("backends", Exp_backends.backends);
     ("sidechannel", Exp_sidechannel.sidechannel);
     ("bechamel", Bench_tables.run);

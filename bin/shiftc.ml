@@ -670,11 +670,12 @@ let exec_cmd =
           List.iter (fun (p, c) -> Shift_os.World.add_file w p c) files;
           List.iter (Shift_os.World.queue_request w) requests
         in
-        let runner ~policy ~setup ~mode prog =
-          if threads then Shift.Session.run_mt ~policy ~setup ~mode prog
-          else Shift.Session.run ~policy ~setup ~mode prog
+        let threading =
+          if threads then Shift.Session.Config.Threads { quantum = None }
+          else Shift.Session.Config.Single
         in
-        match runner ~policy ~setup ~mode prog with
+        let config = Shift.Session.Config.make ~policy ~setup ~threading () in
+        match Shift.Session.exec ~config (Shift.Session.build ~mode prog) with
         | r ->
             print_report r;
             0

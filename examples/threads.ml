@@ -63,10 +63,14 @@ let program =
 let () =
   let input = String.init 2048 (fun k -> Char.chr (k * 31 mod 251)) in
   let run quantum =
-    Shift.Session.run_mt ~quantum ~mode:Mode.shift_word
-      ~policy:{ Shift.Policy.default with Shift.Policy.taint_files = true }
-      ~setup:(fun w -> World.add_file w "input.dat" input)
-      program
+    let config =
+      Shift.Session.Config.make
+        ~policy:{ Shift.Policy.default with Shift.Policy.taint_files = true }
+        ~setup:(fun w -> World.add_file w "input.dat" input)
+        ~threading:(Shift.Session.Config.Threads { quantum = Some quantum })
+        ()
+    in
+    Shift.Session.exec ~config (Shift.Session.build ~mode:Mode.shift_word program)
   in
   print_endline "Two harts hash halves of a tainted file into a shared table";
   print_endline "under a fetchadd ticket lock.  The taint crosses threads through";

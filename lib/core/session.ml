@@ -554,16 +554,3 @@ let run ?with_runtime ?taint_returns ?policy ?io_cost ?fuel ?setup ?trace
     ?superblocks ?backend ~mode prog =
   run_image ?policy ?io_cost ?fuel ?setup ?trace ?superblocks ?backend
     (build ?with_runtime ?taint_returns ?backend ~mode prog)
-
-let run_image_mt ?policy ?io_cost ?fuel ?setup ?quantum ?superblocks ?backend
-    image =
-  exec
-    ~config:
-      (Config.make ?policy ?io_cost ?fuel ?setup
-         ~threading:(Config.Threads { quantum }) ?superblocks ?backend ())
-    image
-
-let run_mt ?with_runtime ?taint_returns ?policy ?io_cost ?fuel ?setup ?quantum
-    ?superblocks ?backend ~mode prog =
-  run_image_mt ?policy ?io_cost ?fuel ?setup ?quantum ?superblocks ?backend
-    (build ?with_runtime ?taint_returns ?backend ~mode prog)

@@ -9,8 +9,8 @@
           my_program
     ]}
 
-    Every run — the historical [run]/[run_mt]/[run_image]/[run_image_mt]
-    entry points included — goes through one {!Config.t}-driven engine:
+    Every run — the historical [run]/[run_image] entry points
+    included — goes through one {!Config.t}-driven engine:
     {!start} builds a {!live} session around
     {!Shift_machine.Exec.run_for}, {!advance} drives it in bounded
     slices, and {!exec} runs it to completion.  Because the engine
@@ -25,7 +25,13 @@ module Config : sig
     | Single  (** one hart; [sys_spawn] fails with [-1] *)
     | Threads of { quantum : int option }
         (** SMP round robin; [quantum] instructions per turn
-            (default 50) *)
+            (default 50).  The guest may call [sys_spawn(&f, arg)] and
+            [sys_join(tid)] (the paper's future work, §4.4, §8); harts
+            share memory, and with it the taint bitmap, whose
+            unserialised updates are the documented hazard (see
+            test/test_smp.ml).  The report's counters aggregate every
+            hart ({!Shift_machine.Stats.concurrent}: events sum, cycles
+            are the slowest hart's). *)
     | Processes of { quantum : int option; comm : string option }
         (** multi-process OS personality ({!Shift_os.Process}):
             [sys_fork]/[sys_exec]/[sys_wait]/[sys_pipe] live, each
@@ -287,40 +293,3 @@ val run :
 (** [build] followed by [run_image].  When [backend] is given, the mode
     is first routed through {!effective_mode}. *)
 
-(** {2 Multi-threaded runs}
-
-    The paper's future-work item (§4.4, §8): guest programs may call
-    [sys_spawn(&f, arg)] and [sys_join(tid)]; harts share memory — and
-    with it the taint bitmap, whose unserialised updates are the
-    documented hazard (see test/test_smp.ml). *)
-
-val run_image_mt :
-  ?policy:Shift_policy.Policy.t ->
-  ?io_cost:Shift_os.World.io_cost ->
-  ?fuel:int ->
-  ?setup:(Shift_os.World.t -> unit) ->
-  ?quantum:int ->
-  ?superblocks:bool ->
-  ?backend:Shift_tracking.Backend.t ->
-  Shift_compiler.Image.t ->
-  Report.t
-(** Like {!run_image} with thread support enabled.  [quantum] is the
-    round-robin scheduling quantum in instructions (default 50).  The
-    report's counters aggregate {e all} harts
-    ({!Shift_machine.Stats.concurrent}: events sum, cycles are the
-    slowest hart's). *)
-
-val run_mt :
-  ?with_runtime:bool ->
-  ?taint_returns:string list ->
-  ?policy:Shift_policy.Policy.t ->
-  ?io_cost:Shift_os.World.io_cost ->
-  ?fuel:int ->
-  ?setup:(Shift_os.World.t -> unit) ->
-  ?quantum:int ->
-  ?superblocks:bool ->
-  ?backend:Shift_tracking.Backend.t ->
-  mode:Shift_compiler.Mode.t ->
-  Ir.program ->
-  Report.t
-(** [build] followed by {!run_image_mt}. *)

@@ -24,8 +24,6 @@ type t = {
   mutable watchers : (int64 -> int -> unit) list;
 }
 
-let fast_path = ref true
-
 let no_page = Bytes.create 0
 
 let create () =
@@ -75,18 +73,15 @@ let page_of_key t key =
    and [Int64.to_int] is exact. *)
 let page t a =
   let key = Int64.shift_right_logical a page_shift in
-  if !fast_path then begin
-    let slot = Int64.to_int key land (tlb_size - 1) in
-    if Int64.equal (Array.unsafe_get t.tlb_keys slot) key then
-      Array.unsafe_get t.tlb_pages slot
-    else begin
-      let p = page_of_key t key in
-      Array.unsafe_set t.tlb_keys slot key;
-      Array.unsafe_set t.tlb_pages slot p;
-      p
-    end
+  let slot = Int64.to_int key land (tlb_size - 1) in
+  if Int64.equal (Array.unsafe_get t.tlb_keys slot) key then
+    Array.unsafe_get t.tlb_pages slot
+  else begin
+    let p = page_of_key t key in
+    Array.unsafe_set t.tlb_keys slot key;
+    Array.unsafe_set t.tlb_pages slot p;
+    p
   end
-  else page_of_key t key
 
 let read_u8 t a =
   let p = page t a in
@@ -97,11 +92,10 @@ let write_u8 t a v =
   Bytes.set p (Int64.to_int (Int64.logand a page_mask)) (Char.chr (v land 0xff));
   notify t a 1
 
-(* Byte-at-a-time reference paths, kept verbatim: the fast paths below
-   must be observationally identical to these (differential tests and
-   the bench throughput experiment compare the two). *)
+(* The byte walk: the fallback for accesses that cross a page boundary
+   and for widths other than 1, 2, 4 and 8. *)
 
-let read_ref t a ~width =
+let read_walk t a ~width =
   let rec go i acc =
     if i >= width then acc
     else
@@ -110,114 +104,89 @@ let read_ref t a ~width =
   in
   go 0 0L
 
-let write_ref t a ~width v =
+let write_walk t a ~width v =
   for i = 0 to width - 1 do
     let b = Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL) in
     write_u8 t (Int64.add a (Int64.of_int i)) b
   done
 
-(* Word-width fast path: an access that stays inside its page is a
-   single [Bytes] primitive on the TLB-resident page.  Accesses that
-   cross a page boundary (and exotic widths) fall back to the byte
-   walk. *)
+(* An access that stays inside its page is a single [Bytes] primitive
+   on the TLB-resident page. *)
 
 let read t a ~width =
   let off = Int64.to_int (Int64.logand a page_mask) in
-  if !fast_path && off + width <= page_size then
+  if off + width <= page_size then
     let p = page t a in
     match width with
     | 8 -> Bytes.get_int64_le p off
     | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le p off)) 0xffffffffL
     | 2 -> Int64.of_int (Bytes.get_uint16_le p off)
     | 1 -> Int64.of_int (Char.code (Bytes.unsafe_get p off))
-    | _ -> read_ref t a ~width
-  else read_ref t a ~width
+    | _ -> read_walk t a ~width
+  else read_walk t a ~width
 
 let write t a ~width v =
   let off = Int64.to_int (Int64.logand a page_mask) in
-  if !fast_path && off + width <= page_size then begin
+  if off + width <= page_size then begin
     let p = page t a in
     (match width with
     | 8 -> Bytes.set_int64_le p off v
     | 4 -> Bytes.set_int32_le p off (Int64.to_int32 v)
     | 2 -> Bytes.set_uint16_le p off (Int64.to_int v land 0xffff)
     | 1 -> Bytes.unsafe_set p off (Char.chr (Int64.to_int v land 0xff))
-    | _ -> write_ref t a ~width v);
+    | _ -> write_walk t a ~width v);
     notify t a width
   end
-  else write_ref t a ~width v
+  else write_walk t a ~width v
 
-(* String transfers reuse the page fast path: one blit per page the
-   range touches instead of one hashtable probe per character. *)
+(* String transfers: one blit per page the range touches instead of
+   one hashtable probe per character. *)
 
 let read_bytes t a ~len =
-  if !fast_path && len > 0 then begin
-    let buf = Bytes.create len in
-    let rec go pos =
-      if pos < len then begin
-        let addr = Int64.add a (Int64.of_int pos) in
-        let off = Int64.to_int (Int64.logand addr page_mask) in
-        let n = min (len - pos) (page_size - off) in
-        Bytes.blit (page t addr) off buf pos n;
-        go (pos + n)
-      end
-    in
-    go 0;
-    Bytes.unsafe_to_string buf
-  end
-  else String.init len (fun i -> Char.chr (read_u8 t (Int64.add a (Int64.of_int i))))
+  let buf = Bytes.create len in
+  let rec go pos =
+    if pos < len then begin
+      let addr = Int64.add a (Int64.of_int pos) in
+      let off = Int64.to_int (Int64.logand addr page_mask) in
+      let n = min (len - pos) (page_size - off) in
+      Bytes.blit (page t addr) off buf pos n;
+      go (pos + n)
+    end
+  in
+  go 0;
+  Bytes.unsafe_to_string buf
 
 let write_bytes t a s =
-  if !fast_path then begin
-    let len = String.length s in
-    let rec go pos =
-      if pos < len then begin
-        let addr = Int64.add a (Int64.of_int pos) in
-        let off = Int64.to_int (Int64.logand addr page_mask) in
-        let n = min (len - pos) (page_size - off) in
-        Bytes.blit_string s pos (page t addr) off n;
-        go (pos + n)
-      end
-    in
-    go 0;
-    notify t a len
-  end
-  else String.iteri (fun i c -> write_u8 t (Int64.add a (Int64.of_int i)) (Char.code c)) s
+  let len = String.length s in
+  let rec go pos =
+    if pos < len then begin
+      let addr = Int64.add a (Int64.of_int pos) in
+      let off = Int64.to_int (Int64.logand addr page_mask) in
+      let n = min (len - pos) (page_size - off) in
+      Bytes.blit_string s pos (page t addr) off n;
+      go (pos + n)
+    end
+  in
+  go 0;
+  notify t a len
 
 let read_cstring ?(max = 65536) t a =
-  if !fast_path then begin
-    let buf = Buffer.create 32 in
-    let rec go pos =
-      if pos < max then begin
-        let addr = Int64.add a (Int64.of_int pos) in
-        let off = Int64.to_int (Int64.logand addr page_mask) in
-        let n = min (max - pos) (page_size - off) in
-        let p = page t addr in
-        match Bytes.index_from_opt p off '\000' with
-        | Some i when i < off + n -> Buffer.add_subbytes buf p off (i - off)
-        | _ ->
-            Buffer.add_subbytes buf p off n;
-            go (pos + n)
-      end
-    in
-    go 0;
-    Buffer.contents buf
-  end
-  else begin
-    let buf = Buffer.create 32 in
-    let rec go i =
-      if i >= max then ()
-      else
-        let b = read_u8 t (Int64.add a (Int64.of_int i)) in
-        if b = 0 then ()
-        else begin
-          Buffer.add_char buf (Char.chr b);
-          go (i + 1)
-        end
-    in
-    go 0;
-    Buffer.contents buf
-  end
+  let buf = Buffer.create 32 in
+  let rec go pos =
+    if pos < max then begin
+      let addr = Int64.add a (Int64.of_int pos) in
+      let off = Int64.to_int (Int64.logand addr page_mask) in
+      let n = min (max - pos) (page_size - off) in
+      let p = page t addr in
+      match Bytes.index_from_opt p off '\000' with
+      | Some i when i < off + n -> Buffer.add_subbytes buf p off (i - off)
+      | _ ->
+          Buffer.add_subbytes buf p off n;
+          go (pos + n)
+    end
+  in
+  go 0;
+  Buffer.contents buf
 
 let write_cstring t a s =
   write_bytes t a s;

@@ -7,14 +7,6 @@
 
 type t
 
-val fast_path : bool ref
-(** When true (the default), reads and writes use the word-width page
-    fast path and the software TLB; when false, every access walks the
-    original byte-at-a-time reference path.  The two are observationally
-    identical — the flag exists so differential tests and the
-    [throughput] bench experiment can run the reference implementation
-    on demand.  Not a tuning knob: leave it on. *)
-
 val create : unit -> t
 
 val page_size : int
@@ -37,12 +29,6 @@ val read : t -> int64 -> width:int -> int64
 
 val write : t -> int64 -> width:int -> int64 -> unit
 (** Little-endian write of the low [width] bytes of the value. *)
-
-val read_ref : t -> int64 -> width:int -> int64
-val write_ref : t -> int64 -> width:int -> int64 -> unit
-(** The byte-at-a-time reference implementations of {!read} and
-    {!write}.  [read]/[write] must agree with them on every access;
-    differential tests call both sides directly. *)
 
 val read_bytes : t -> int64 -> len:int -> string
 val write_bytes : t -> int64 -> string -> unit

@@ -26,7 +26,7 @@ let popcount8 =
    operations below walk that span bytes-at-a-time (with 8-byte strides
    on long interior runs) instead of testing one bit per guest byte.
    Ranges that cross a region boundary — where tag bytes jump — take the
-   per-bit reference walk. *)
+   per-bit walk. *)
 
 type span = {
   ta0 : int64;  (* first tag byte *)
@@ -38,7 +38,7 @@ type span = {
 let span_of g ~addr ~len =
   let last = Int64.add addr (Int64.of_int (len - 1)) in
   if
-    !Memory.fast_path && len > 0
+    len > 0
     && Addr.region addr = Addr.region last
     && Int64.unsigned_compare (Addr.offset addr) (Addr.offset last) <= 0
   then

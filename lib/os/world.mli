@@ -82,7 +82,7 @@ val set_threads :
   join:(int -> int64 option) ->
   unit
 (** Enable the [spawn]/[join] syscalls (wired to {!Shift_machine.Smp}
-    by [Session.run_mt]); [join] returning [None] means "still
+    by a [Threads] session); [join] returning [None] means "still
     running" and makes the caller spin. *)
 
 val taint_positions : t -> Shift_machine.Cpu.t -> int64 -> string -> int list

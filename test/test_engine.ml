@@ -106,10 +106,14 @@ let differential_tests =
                 (sliced_stats image ~setup ~budget:4096);
               Util.check_string "sliced engine (budget 1000)" reference
                 (sliced_stats image ~setup ~budget:1000);
+              let threading = Shift.Session.Config.Threads { quantum = None } in
               let smp =
                 stats_sig
-                  (Shift.Session.run_image_mt ~policy:Policy.default ~fuel
-                     ~setup image)
+                  (Shift.Session.exec
+                     ~config:
+                       (Shift.Session.Config.make ~policy:Policy.default ~fuel
+                          ~setup ~threading ())
+                     image)
                     .Shift.Report.stats
               in
               Util.check_string "single-hart SMP engine" reference smp))
@@ -141,7 +145,10 @@ let smp_slicing_tests =
         let threading = Shift.Session.Config.Threads { quantum = Some 7 } in
         let reference =
           report_sig
-            (Shift.Session.run_image_mt ~policy:Policy.default ~fuel ~quantum:7
+            (Shift.Session.exec
+               ~config:
+                 (Shift.Session.Config.make ~policy:Policy.default ~fuel
+                    ~threading ())
                image)
         in
         List.iter

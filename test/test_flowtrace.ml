@@ -5,6 +5,8 @@ open Shift_isa
 open Shift_mem
 module Cpu = Shift_machine.Cpu
 module Flowtrace = Shift_machine.Flowtrace
+module Mode = Shift_compiler.Mode
+module Spec = Shift_workloads.Spec
 
 let tc = Util.tc
 let a1 off = Addr.in_region 1 off
@@ -304,19 +306,45 @@ let session_tests =
               a.Shift.Alert.chain
         | None -> Alcotest.fail "expected an alert");
     tc "tracing off: counters identical, no flow, no chain" (fun () ->
-        let plain = run_tar () in
-        let traced = run_tar ~trace:Flowtrace.default_options () in
         let c (r : Shift.Report.t) =
           let s = r.stats in
           Shift_machine.Stats.
             (s.instructions, s.cycles, s.loads, s.stores)
         in
-        Util.check_bool "counters" true (c plain = c traced);
-        Util.check_bool "no flow" true (plain.Shift.Report.flow = None);
-        Util.check_bool "flow" true (traced.Shift.Report.flow <> None);
+        (* [run trace] once untraced and once traced: the trace is
+           observation only *)
+        let untraced_equals_traced name run =
+          let plain = run None in
+          let traced = run (Some Flowtrace.default_options) in
+          Util.check_bool (name ^ " counters") true (c plain = c traced);
+          Util.check_bool (name ^ " no flow") true (plain.Shift.Report.flow = None);
+          Util.check_bool (name ^ " flow") true (traced.Shift.Report.flow <> None);
+          plain
+        in
+        let plain = untraced_equals_traced "tar" (fun trace -> run_tar ?trace ()) in
         (match Shift.Report.alert plain with
         | Some a -> Util.check_bool "no chain" true (a.Shift.Alert.chain = [])
-        | None -> Alcotest.fail "expected an alert"));
+        | None -> Alcotest.fail "expected an alert");
+        List.iter
+          (fun (name, mode) ->
+            let k = Option.get (Spec.find name) in
+            let image = Shift.Session.build ~mode k.Spec.program in
+            let run trace =
+              Shift.Session.exec
+                ~config:
+                  (Shift.Session.Config.make ~policy:Shift.Policy.default
+                     ~setup:(Spec.setup ~size:512 ~tainted:true k) ?trace ())
+                image
+            in
+            ignore
+              (untraced_equals_traced
+                 (Printf.sprintf "%s/%s" name (Mode.to_string mode))
+                 run))
+          Mode.
+            [
+              ("gzip", shift_word); ("gzip", shift_byte);
+              ("mcf", shift_word); ("mcf", shift_byte);
+            ]);
     tc "JSONL export is deterministic" (fun () ->
         let doc () =
           let live = traced_tar Flowtrace.default_options in

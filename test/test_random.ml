@@ -119,30 +119,6 @@ let determinism_test =
       let c2 = Shift.Report.cycles (Util.run_prog ~mode:Mode.shift_word prog) in
       c1 = c2)
 
-(* the memory/taint fast paths must be invisible: same exit code and
-   the same performance counters as the byte-at-a-time reference *)
-let fast_path_test =
-  let signature report =
-    let s = report.Shift.Report.stats in
-    ( Util.exit_code report,
-      Shift_machine.Stats.
-        (s.instructions, s.cycles, s.loads, s.stores, s.branches) )
-  in
-  QCheck.Test.make ~count:20 ~name:"memory fast path preserves counters"
-    QCheck.(make Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let prog = gen_program seed in
-      let run_with fast mode =
-        let was = !Shift_mem.Memory.fast_path in
-        Shift_mem.Memory.fast_path := fast;
-        Fun.protect
-          ~finally:(fun () -> Shift_mem.Memory.fast_path := was)
-          (fun () -> signature (Util.run_prog ~mode prog))
-      in
-      List.for_all
-        (fun mode -> run_with true mode = run_with false mode)
-        [ Mode.Uninstrumented; Mode.shift_word; Mode.shift_byte ])
-
 let overhead_test =
   QCheck.Test.make ~count:20 ~name:"instrumentation never speeds programs up"
     QCheck.(make Gen.(int_bound 1_000_000))
@@ -156,5 +132,5 @@ let suites =
   [
     ( "random.differential",
       List.map QCheck_alcotest.to_alcotest
-        [ differential_test; determinism_test; fast_path_test; overhead_test ] );
+        [ differential_test; determinism_test; overhead_test ] );
   ]

@@ -9,8 +9,11 @@ module Mode = Shift_compiler.Mode
 
 let tc = Util.tc
 
-let run_mt ?(mode = Mode.shift_word) ?quantum prog =
-  Shift.Session.run_mt ?quantum ~fuel:50_000_000 ~mode prog
+let run_mt ?(mode = Mode.shift_word) ?quantum ?(fuel = 50_000_000) ?setup prog =
+  let threading = Shift.Session.Config.Threads { quantum } in
+  Shift.Session.exec
+    ~config:(Shift.Session.Config.make ~fuel ?setup ~threading ())
+    (Shift.Session.build ~mode prog)
 
 let basics_prog =
   {
@@ -126,7 +129,7 @@ let taint_tests =
           Buffer.contents b
         in
         let r =
-          Shift.Session.run_mt ~fuel:50_000_000 ~mode:Mode.shift_word
+          run_mt
             ~setup:(fun w -> Shift_os.World.set_stdin w payload)
             cross_thread_prog
         in
@@ -225,7 +228,7 @@ let runaway_prog =
 let fuel_tests =
   [
     tc "fuel 0 times out before any instruction" (fun () ->
-        let r = Shift.Session.run_mt ~fuel:0 ~mode:Mode.shift_word basics_prog in
+        let r = run_mt ~fuel:0 basics_prog in
         (match r.Shift.Report.outcome with
         | Shift.Report.Timeout -> ()
         | o -> Alcotest.failf "expected timeout, got %a" Shift.Report.pp_outcome o);
@@ -235,8 +238,7 @@ let fuel_tests =
         (* the engine charges every hart's steps against one budget and
            suspends exactly at the boundary *)
         let r =
-          Shift.Session.run_mt ~fuel:1000 ~quantum:7 ~mode:Mode.shift_word
-            runaway_prog
+          run_mt ~fuel:1000 ~quantum:7 runaway_prog
         in
         (match r.Shift.Report.outcome with
         | Shift.Report.Timeout -> ()
