@@ -12,23 +12,31 @@ let run_small k mode =
   let image = Shift.Session.build ~mode k.Spec.program in
   fun () ->
     ignore
-      (Shift.Session.run_image ~policy:Policy.default ~fuel
-         ~setup:(Spec.setup ~tainted:true (small k)) image)
+      (Shift.Session.exec
+         ~config:
+           (Shift.Session.Config.make ~policy:Policy.default ~fuel
+              ~setup:(Spec.setup ~tainted:true (small k)) ())
+         image)
 
 let run_attack () =
   let c = List.hd Shift_attacks.Attacks.all in
   ignore
-    (Shift.Session.run
-       ~policy:c.Shift_attacks.Attack_case.policy
-       ~setup:c.Shift_attacks.Attack_case.exploit ~fuel ~mode:word
-       c.Shift_attacks.Attack_case.program)
+    (Shift.Session.exec
+       ~config:
+         (Shift.Session.Config.make ~policy:c.Shift_attacks.Attack_case.policy
+            ~setup:c.Shift_attacks.Attack_case.exploit ~fuel ())
+       (Shift.Session.build ~mode:word c.Shift_attacks.Attack_case.program))
 
 let run_httpd_small =
   let image = Shift.Session.build ~mode:word Httpd.program in
   fun () ->
     ignore
-      (Shift.Session.run_image ~policy:Httpd.policy ~io_cost:Httpd.io_cost ~fuel
-         ~setup:(Httpd.setup ~file_size:4096 ~requests:2)
+      (Shift.Session.exec
+         ~config:
+           (Shift.Session.Config.make ~policy:Httpd.policy ~io_cost:Httpd.io_cost
+              ~fuel
+              ~setup:(Httpd.setup ~file_size:4096 ~requests:2)
+              ())
          image)
 
 let tests () =

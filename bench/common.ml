@@ -44,8 +44,11 @@ let run_kernel ?(tainted = true) (k : Spec.kernel) mode =
   | None ->
       let image = image_of_kernel k mode in
       let report =
-        Shift.Session.run_image ~policy:Policy.default ~fuel
-          ~setup:(Spec.setup ~tainted k) image
+        Shift.Session.exec
+          ~config:
+            (Shift.Session.Config.make ~policy:Policy.default ~fuel
+               ~setup:(Spec.setup ~tainted k) ())
+          image
       in
       (match report.Shift.Report.outcome with
       | Shift.Report.Exited _ -> ()

@@ -88,12 +88,13 @@ let run_backend ?(superblocks = true) ~backend (k : Spec.kernel) =
   in
   (Shift.Session.report live, q)
 
-(* the pre-backend run path: Session.run_image with no backend
-   argument, exactly what the harness called before lib/tracking
-   existed *)
+(* the pre-backend run path: a session config with no backend, exactly
+   what the harness ran before lib/tracking existed *)
 let run_seed ?(superblocks = true) (k : Spec.kernel) =
-  Shift.Session.run_image ~policy:Policy.default ~fuel
-    ~setup:(Spec.setup ~tainted:true k) ~superblocks
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy:Policy.default ~fuel
+         ~setup:(Spec.setup ~tainted:true k) ~superblocks ())
     (image_of_kernel k requested_mode)
 
 let report_bytes r = J.to_string (J.of_report r)

@@ -39,8 +39,11 @@ let table1 () =
     ]
 
 let run_case (c : Case.t) mode input =
-  Shift.Session.run ~policy:c.Case.policy ~setup:input ~fuel:200_000_000 ~mode
-    c.Case.program
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy:c.Case.policy ~setup:input
+         ~fuel:200_000_000 ())
+    (Shift.Session.build ~mode c.Case.program)
 
 let outcome_name (r : Shift.Report.t) =
   match r.Shift.Report.outcome with

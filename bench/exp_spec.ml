@@ -293,8 +293,11 @@ let ablation () =
     (* bypass the cache: these options change generated code *)
     let image = Shift.Session.build ~options ~mode:word k.Spec.program in
     let report =
-      Shift.Session.run_image ~policy:Policy.default ~fuel
-        ~setup:(Spec.setup ~tainted:true k) image
+      Shift.Session.exec
+        ~config:
+          (Shift.Session.Config.make ~policy:Policy.default ~fuel
+             ~setup:(Spec.setup ~tainted:true k) ())
+        image
     in
     float_of_int report.Shift.Report.stats.Shift_machine.Stats.cycles
     /. float_of_int (cycles_of ~tainted:false k Mode.Uninstrumented)

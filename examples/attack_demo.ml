@@ -9,9 +9,12 @@ module Q = Shift_attacks.Qwik_smtpd
 module Case = Shift_attacks.Attack_case
 
 let run_qwik ~mode helo =
-  Shift.Session.run ~policy:Shift_policy.Policy.default
-    ~setup:(fun w -> Shift_os.World.queue_request w helo)
-    ~mode Q.program
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy:Shift_policy.Policy.default
+         ~setup:(fun w -> Shift_os.World.queue_request w helo)
+         ())
+    (Shift.Session.build ~mode Q.program)
 
 let show title (r : Shift.Report.t) =
   Format.printf "  %-42s %a@." title Shift.Report.pp_outcome r.Shift.Report.outcome;
@@ -32,8 +35,11 @@ let () =
   List.iter
     (fun (c : Case.t) ->
       let r =
-        Shift.Session.run ~policy:c.Case.policy ~setup:c.Case.exploit
-          ~mode:Mode.shift_word c.Case.program
+        Shift.Session.exec
+          ~config:
+            (Shift.Session.Config.make ~policy:c.Case.policy
+               ~setup:c.Case.exploit ())
+          (Shift.Session.build ~mode:Mode.shift_word c.Case.program)
       in
       Format.printf "  %-22s %-22s -> %a@." c.Case.program_name c.Case.attack_type
         Shift.Report.pp_outcome r.Shift.Report.outcome)

@@ -22,10 +22,13 @@ let contains s sub =
 let image = lazy (Shift.Session.build ~mode:Mode.shift_word Httpd.program)
 
 let serve policy =
-  Shift.Session.run_image ~policy ~io_cost:Httpd.io_cost
-    ~setup:(fun w ->
-      World.add_file w ~tainted:false "root/secrets.txt" "THE-SECRET";
-      World.queue_request w evil_request)
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy ~io_cost:Httpd.io_cost
+         ~setup:(fun w ->
+           World.add_file w ~tainted:false "root/secrets.txt" "THE-SECRET";
+           World.queue_request w evil_request)
+         ())
     (Lazy.force image)
 
 let show title (r : Shift.Report.t) =

@@ -39,9 +39,12 @@ let policy = { Policy.default with Policy.taint_files = true }
 
 let run mode =
   let report =
-    Shift.Session.run ~policy
-      ~setup:(fun w -> World.add_file w "config.bin" config)
-      ~mode program
+    Shift.Session.exec
+      ~config:
+        (Shift.Session.Config.make ~policy
+           ~setup:(fun w -> World.add_file w "config.bin" config)
+           ())
+      (Shift.Session.build ~mode program)
   in
   Format.printf "  mode %-12s -> %a  (%d instructions, %d cycles)@."
     (Mode.to_string mode) Shift.Report.pp_outcome report.Shift.Report.outcome

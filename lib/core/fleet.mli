@@ -6,8 +6,8 @@
     size, and a session is pure given its job (the simulated machine
     carries no host time or randomness), so the whole aggregate —
     including its {!to_json} serialisation — is byte-identical at any
-    [?domains].  This is the substrate behind [shiftc batch] and the
-    bench harness's [fleet] experiment.
+    [?domains].  This is the substrate behind [shiftc batch], and
+    {!step} drives every job the serve scheduler runs.
 
     {!run} is a {e supervisor}: a job whose image thunk or session
     raises is contained as a structured {!Crashed} result instead of

@@ -13,78 +13,7 @@ module Procs = Shift_os.Process
 module Tracking = Shift_tracking.Tracking
 module Backend = Shift_tracking.Backend
 
-let default_fuel = 2_000_000_000
-
-module Config = struct
-  type threading =
-    | Single
-    | Threads of { quantum : int option }
-    | Processes of { quantum : int option; comm : string option }
-        (** the multi-process OS personality: a {!Shift_os.Process}
-            table scheduled round-robin; [comm] names pid 1 *)
-
-  type t = {
-    policy : Policy.t;
-    io_cost : World.io_cost;
-    fuel : int;
-    setup : World.t -> unit;
-    threading : threading;
-    trace : Shift_machine.Flowtrace.options option;
-    hwtrace : bool;
-        (** record the cache-set observation trace on the primary hart
-            (see {!Shift_machine.Hwtrace}); off by default — the leak
-            detector turns it on *)
-    superblocks : bool;
-    backend : Backend.t;
-    images : (string * Image.t) list;
-        (** aux images the guest may [exec] by name (multi-process
-            sessions); compiled with the same mode/backend as the main
-            image *)
-    coproc_capacity : int option;
-    coproc_drain_rate : int option;
-    coproc_stall_penalty : int option;
-        (** tag-coprocessor queue knobs, [None] = the model defaults;
-            only meaningful under [Backend.Coproc] *)
-  }
-
-  let default =
-    {
-      policy = Policy.default;
-      io_cost = World.default_io_cost;
-      fuel = default_fuel;
-      setup = (fun _ -> ());
-      threading = Single;
-      trace = None;
-      hwtrace = false;
-      superblocks = true;
-      backend = Backend.Nat;
-      images = [];
-      coproc_capacity = None;
-      coproc_drain_rate = None;
-      coproc_stall_penalty = None;
-    }
-
-  let make ?(policy = Policy.default) ?(io_cost = World.default_io_cost)
-      ?(fuel = default_fuel) ?(setup = fun _ -> ()) ?(threading = Single)
-      ?trace ?(hwtrace = false) ?(superblocks = true) ?(backend = Backend.Nat)
-      ?(images = []) ?coproc_capacity ?coproc_drain_rate ?coproc_stall_penalty
-      () =
-    {
-      policy;
-      io_cost;
-      fuel;
-      setup;
-      threading;
-      trace;
-      hwtrace;
-      superblocks;
-      backend;
-      images;
-      coproc_capacity;
-      coproc_drain_rate;
-      coproc_stall_penalty;
-    }
-end
+module Config = Config
 
 let gran_of_mode = function
   | Mode.Uninstrumented -> Shift_mem.Granularity.Word
@@ -218,41 +147,59 @@ let create_tracking config mem =
     ?stall_penalty:config.Config.coproc_stall_penalty
     ~low_level:config.Config.policy.Policy.low_level ~mem ()
 
+let create_world config ~tracking (image : Image.t) =
+  World.create ~policy:config.Config.policy
+    ~gran:(gran_for ~backend:config.Config.backend image.mode)
+    ~io_cost:config.Config.io_cost ~tracking ()
+
+(* what every hart of a session shares: the superblock switch, the
+   tracking backend, the OS world and the flow trace (disabled unless
+   the config asked for one) *)
+let wire config ~tracking ~world ~flowtrace (cpu : Cpu.t) =
+  cpu.Cpu.sb.Cpu.sb_on <- config.Config.superblocks;
+  cpu.Cpu.tracking <- tracking;
+  cpu.Cpu.syscall_handler <- Some (World.handler world);
+  Option.iter (fun ft -> cpu.Cpu.flowtrace <- ft) flowtrace
+
+(* the buffer itself is never snapshotted: a session records from its
+   start or restore point on, so straight trace = pre-checkpoint prefix
+   ++ post-restore suffix (held by the identity test in test_snapshot) *)
+let arm_hwtrace config engine =
+  if config.Config.hwtrace then
+    (Exec.hart0 engine).Cpu.hwtrace <- Shift_machine.Hwtrace.create ()
+
+(* an SMP machine, with the world's spawn/join calls routed to it *)
+let smp_engine world smp =
+  World.set_threads world
+    ~spawn:(fun parent ~entry ~arg -> Smp.spawn smp ~parent ~entry ~arg)
+    ~join:(fun tid ->
+      match Smp.state_of smp tid with
+      | Some Smp.Running -> None
+      | Some (Smp.Done v) -> Some v
+      | Some (Smp.Crashed _) | None -> Some (-1L));
+  Exec.of_smp smp
+
+let smp_stack_stride = Int64.of_int (1 lsl 20)
+
 let start ?(config = Config.default) (image : Image.t) =
   let cpu = load image in
-  cpu.Cpu.sb.Cpu.sb_on <- config.Config.superblocks;
   let tracking = create_tracking config cpu.Cpu.mem in
-  cpu.Cpu.tracking <- tracking;
-  (match config.Config.trace with
-  | Some options ->
-      cpu.Cpu.flowtrace <- Shift_machine.Flowtrace.create ~options ()
-  | None -> ());
-  if config.Config.hwtrace then
-    cpu.Cpu.hwtrace <- Shift_machine.Hwtrace.create ();
-  let world =
-    World.create ~policy:config.Config.policy
-      ~gran:(gran_for ~backend:config.Config.backend image.mode)
-      ~io_cost:config.Config.io_cost ~tracking ()
-  in
+  let world = create_world config ~tracking image in
   config.Config.setup world;
-  cpu.Cpu.syscall_handler <- Some (World.handler world);
+  let flowtrace =
+    Option.map
+      (fun options -> Shift_machine.Flowtrace.create ~options ())
+      config.Config.trace
+  in
+  wire config ~tracking ~world ~flowtrace cpu;
   let engine, procs =
     match config.Config.threading with
     | Config.Single -> (Exec.of_cpu cpu, None)
     | Config.Threads { quantum } ->
-        let smp =
-          Smp.create ?quantum ~stack_top:Shift_compiler.Layout.stack_top
-            ~stack_stride:(Int64.of_int (1 lsl 20))
-            cpu
-        in
-        World.set_threads world
-          ~spawn:(fun parent ~entry ~arg -> Smp.spawn smp ~parent ~entry ~arg)
-          ~join:(fun tid ->
-            match Smp.state_of smp tid with
-            | Some Smp.Running -> None
-            | Some (Smp.Done v) -> Some v
-            | Some (Smp.Crashed _) | None -> Some (-1L));
-        (Exec.of_smp smp, None)
+        ( smp_engine world
+            (Smp.create ?quantum ~stack_top:Shift_compiler.Layout.stack_top
+               ~stack_stride:smp_stack_stride cpu),
+          None )
     | Config.Processes { quantum; comm } ->
         (* the coprocessor backend binds its tag pipeline to one
            address space; fork's cloned memories would be invisible
@@ -268,6 +215,7 @@ let start ?(config = Config.default) (image : Image.t) =
         in
         (procs_engine procs, Some procs)
   in
+  arm_hwtrace config engine;
   {
     image;
     config;
@@ -350,95 +298,37 @@ let report live =
 
 (* ---------- checkpoint/restore ---------- *)
 
-let snapshot_threading = function
-  | Config.Single -> Snapshot.T_single
-  | Config.Threads { quantum } -> Snapshot.T_threads quantum
-  | Config.Processes { quantum; comm } ->
-      Snapshot.T_procs { tp_quantum = quantum; tp_comm = comm }
-
-let session_threading = function
-  | Snapshot.T_single -> Config.Single
-  | Snapshot.T_threads quantum -> Config.Threads { quantum }
-  | Snapshot.T_procs { tp_quantum; tp_comm } ->
-      Config.Processes { quantum = tp_quantum; comm = tp_comm }
-
-let snapshot_config config =
-  {
-    Snapshot.c_policy = config.Config.policy;
-    c_io_cost = config.Config.io_cost;
-    c_fuel = config.Config.fuel;
-    c_threading = snapshot_threading config.Config.threading;
-    c_trace = config.Config.trace;
-    c_hwtrace = config.Config.hwtrace;
-    c_superblocks = config.Config.superblocks;
-    c_backend = config.Config.backend;
-    c_images = config.Config.images;
-    c_coproc_capacity = config.Config.coproc_capacity;
-    c_coproc_drain_rate = config.Config.coproc_drain_rate;
-    c_coproc_stall_penalty = config.Config.coproc_stall_penalty;
-  }
-
 let checkpoint ?meta live =
   let tracking =
     if Tracking.per_instr live.tracking then Some (Tracking.export live.tracking)
     else None
   in
-  match live.procs with
-  | Some procs ->
-      Snapshot.capture_procs ?meta ~image:live.image
-        ~config:(snapshot_config live.config)
-        ?tracking ~fuel_left:live.fuel_left ~result:live.result ~procs
-        ~world:live.world ()
-  | None ->
-      Snapshot.capture ?meta ~image:live.image
-        ~config:(snapshot_config live.config)
-        ?tracking ~fuel_left:live.fuel_left ~result:live.result
-        ~engine:live.engine ~world:live.world ()
+  Snapshot.capture ?meta ?tracking ?procs:live.procs ~image:live.image
+    ~config:live.config ~fuel_left:live.fuel_left ~result:live.result
+    ~engine:live.engine ~world:live.world ()
 
+(* The world-setup closure is not re-run: its effects are already in the
+   restored world and memory state. *)
 let restore (snap : Snapshot.t) =
-  let image = snap.Snapshot.image in
-  let sc = snap.Snapshot.config in
-  (* the original world-setup closure cannot be serialised, and does not
-     need to be: its effects are already in the restored world and
-     memory state *)
-  let config =
-    Config.make ~policy:sc.Snapshot.c_policy ~io_cost:sc.Snapshot.c_io_cost
-      ~fuel:sc.Snapshot.c_fuel
-      ~threading:(session_threading sc.Snapshot.c_threading)
-      ?trace:sc.Snapshot.c_trace ~hwtrace:sc.Snapshot.c_hwtrace
-      ~superblocks:sc.Snapshot.c_superblocks ~backend:sc.Snapshot.c_backend
-      ~images:sc.Snapshot.c_images
-      ?coproc_capacity:sc.Snapshot.c_coproc_capacity
-      ?coproc_drain_rate:sc.Snapshot.c_coproc_drain_rate
-      ?coproc_stall_penalty:sc.Snapshot.c_coproc_stall_penalty ()
-  in
+  let image = snap.Snapshot.image and config = snap.Snapshot.config in
   let mem = Shift_mem.Memory.create () in
   Snapshot.load_memory mem snap.Snapshot.memory;
   let tracking = create_tracking config mem in
-  (match snap.Snapshot.tracking with
-  | Some d -> Tracking.import tracking d
-  | None -> ());
-  let world =
-    World.create ~policy:sc.Snapshot.c_policy
-      ~gran:(gran_for ~backend:config.Config.backend image.mode)
-      ~io_cost:sc.Snapshot.c_io_cost ~tracking ()
-  in
+  Option.iter (Tracking.import tracking) snap.Snapshot.tracking;
+  let world = create_world config ~tracking image in
   World.undump world snap.Snapshot.world;
   let flowtrace =
-    match snap.Snapshot.flow with
-    | Some (d, pages) ->
+    Option.map
+      (fun (d, pages) ->
         let ft = Shift_machine.Flowtrace.of_dump d in
         Snapshot.load_provenance (Shift_machine.Flowtrace.provenance ft) pages;
-        Some ft
-    | None -> None
+        ft)
+      snap.Snapshot.flow
   in
   let make_cpu_on mem image hart =
     let cpu = Cpu.of_code ~mem (Image.code image) in
-    cpu.Cpu.sb.Cpu.sb_on <- config.Config.superblocks;
-    cpu.Cpu.tracking <- tracking;
     Snapshot.import_cpu hart cpu;
-    cpu.Cpu.syscall_handler <- Some (World.handler world);
-    (match flowtrace with Some ft -> cpu.Cpu.flowtrace <- ft | None -> ());
+    wire config ~tracking ~world ~flowtrace cpu;
     cpu
   in
   let make_cpu hart = make_cpu_on mem image hart in
@@ -449,38 +339,23 @@ let restore (snap : Snapshot.t) =
         let harts =
           List.map (fun (id, state, hart) -> (id, state, make_cpu hart)) sm_harts
         in
-        let smp =
-          Smp.of_parts ~quantum:sm_quantum
-            ~stack_top:Shift_compiler.Layout.stack_top
-            ~stack_stride:(Int64.of_int (1 lsl 20))
-            ~harts ~round:sm_round ~finished:sm_finished ()
-        in
-        World.set_threads world
-          ~spawn:(fun parent ~entry ~arg -> Smp.spawn smp ~parent ~entry ~arg)
-          ~join:(fun tid ->
-            match Smp.state_of smp tid with
-            | Some Smp.Running -> None
-            | Some (Smp.Done v) -> Some v
-            | Some (Smp.Crashed _) | None -> Some (-1L));
-        (Exec.of_smp smp, None)
+        ( smp_engine world
+            (Smp.of_parts ~quantum:sm_quantum
+               ~stack_top:Shift_compiler.Layout.stack_top
+               ~stack_stride:smp_stack_stride ~harts ~round:sm_round
+               ~finished:sm_finished ()),
+          None )
     | Snapshot.M_procs
         { pm_quantum; pm_next_pid; pm_procs; pm_round; pm_finished; pm_retired }
       ->
         let parts =
           List.map
             (fun (ps : Snapshot.proc_snap) ->
+              (* decoding checked that every image name is configured *)
               let pimage =
-                match ps.Snapshot.ps_image with
-                | None -> image
-                | Some name -> (
-                    match List.assoc_opt name sc.Snapshot.c_images with
-                    | Some img -> img
-                    | None ->
-                        invalid_arg
-                          (Printf.sprintf
-                             "Session.restore: process %d runs unknown image \
-                              %S"
-                             ps.Snapshot.ps_pid name))
+                Option.fold ~none:image
+                  ~some:(fun name -> List.assoc name config.Config.images)
+                  ps.Snapshot.ps_image
               in
               (* every process owns its address space and provenance
                  shadow; its pages were dumped per-process *)
@@ -513,17 +388,13 @@ let restore (snap : Snapshot.t) =
         in
         let procs =
           Procs.of_parts ~quantum:pm_quantum ~world
-            ~load:(image_loader sc.Snapshot.c_images)
+            ~load:(image_loader config.Config.images)
             ~procs:parts ~next_pid:pm_next_pid ~round:pm_round
             ~finished:pm_finished ~retired:pm_retired ()
         in
         (procs_engine procs, Some procs)
   in
-  (* the trace buffer itself is not snapshotted: a restored session
-     records from here on, so straight trace = pre-checkpoint prefix ++
-     post-restore suffix (held by the identity test in test_snapshot) *)
-  if config.Config.hwtrace then
-    (Exec.hart0 engine).Cpu.hwtrace <- Shift_machine.Hwtrace.create ();
+  arm_hwtrace config engine;
   {
     image;
     config;
@@ -541,16 +412,3 @@ let exec ?config image =
      exhaustion to [Timeout] itself, so this always finishes *)
   (match advance live ~budget:max_int with `Finished _ | `Yielded -> ());
   report live
-
-(* ---------- the historical entry points, as one-line wrappers ---------- *)
-
-let run_image ?policy ?io_cost ?fuel ?setup ?trace ?superblocks ?backend image =
-  exec
-    ~config:
-      (Config.make ?policy ?io_cost ?fuel ?setup ?trace ?superblocks ?backend ())
-    image
-
-let run ?with_runtime ?taint_returns ?policy ?io_cost ?fuel ?setup ?trace
-    ?superblocks ?backend ~mode prog =
-  run_image ?policy ?io_cost ?fuel ?setup ?trace ?superblocks ?backend
-    (build ?with_runtime ?taint_returns ?backend ~mode prog)

@@ -6,11 +6,13 @@
 
     {[
       let report =
-        Shift.Session.run
-          ~mode:Shift.Mode.shift_word
-          ~policy:{ Shift.Policy.default with h3 = true }
-          ~setup:(fun world -> Shift.World.queue_request world payload)
-          my_program
+        Shift.Session.exec
+          ~config:
+            (Shift.Session.Config.make
+               ~policy:{ Shift.Policy.default with h3 = true }
+               ~setup:(fun world -> Shift.World.queue_request world payload)
+               ())
+          (Shift.Session.build ~mode:Shift.Mode.shift_word my_program)
       in
       match report.Shift.Report.outcome with
       | Shift.Report.Alert a -> handle a

@@ -17,26 +17,7 @@ module Provenance = Shift_mem.Provenance
 module Tracking = Shift_tracking.Tracking
 module Backend = Shift_tracking.Backend
 module Reg = Shift_isa.Reg
-
-type threading =
-  | T_single
-  | T_threads of int option
-  | T_procs of { tp_quantum : int option; tp_comm : string option }
-
-type config = {
-  c_policy : Policy.t;
-  c_io_cost : World.io_cost;
-  c_fuel : int;
-  c_threading : threading;
-  c_trace : Flowtrace.options option;
-  c_hwtrace : bool;
-  c_superblocks : bool;
-  c_backend : Backend.t;
-  c_images : (string * Image.t) list;
-  c_coproc_capacity : int option;
-  c_coproc_drain_rate : int option;
-  c_coproc_stall_penalty : int option;
-}
+module Pred = Shift_isa.Pred
 
 type hart = {
   h_values : int64 array;
@@ -82,7 +63,7 @@ type machine =
 type t = {
   meta : (string * string) list;
   image : Image.t;
-  config : config;
+  config : Config.t;
   fuel_left : int;
   result : Report.outcome option;
   memory : (int64 * string) list;
@@ -117,6 +98,10 @@ let export_cpu ~traced (cpu : Cpu.t) =
        else None);
   }
 
+(* a hart's arrays have the machine's lengths: a captured hart copied
+   them, and decoding refuses any other length *)
+let refill src dst = Array.blit src 0 dst 0 (Array.length dst)
+
 let import_stats (src : Stats.t) (dst : Stats.t) =
   dst.Stats.instructions <- src.Stats.instructions;
   dst.Stats.cycles <- src.Stats.cycles;
@@ -126,23 +111,12 @@ let import_stats (src : Stats.t) (dst : Stats.t) =
   dst.Stats.predicated_off <- src.Stats.predicated_off;
   dst.Stats.syscalls <- src.Stats.syscalls;
   dst.Stats.io_cycles <- src.Stats.io_cycles;
-  if
-    Array.length dst.Stats.slots_by_prov
-    <> Array.length src.Stats.slots_by_prov
-  then invalid_arg "Snapshot.import_cpu: issue-slot provenance arity mismatch";
-  Array.blit src.Stats.slots_by_prov 0 dst.Stats.slots_by_prov 0
-    (Array.length src.Stats.slots_by_prov)
+  refill src.Stats.slots_by_prov dst.Stats.slots_by_prov
 
 let import_cpu hart (cpu : Cpu.t) =
-  if Array.length hart.h_values <> Array.length cpu.Cpu.values then
-    invalid_arg "Snapshot.import_cpu: register file arity mismatch";
-  if Array.length hart.h_nats <> Array.length cpu.Cpu.nats then
-    invalid_arg "Snapshot.import_cpu: NaT file arity mismatch";
-  if Array.length hart.h_preds <> Array.length cpu.Cpu.preds then
-    invalid_arg "Snapshot.import_cpu: predicate file arity mismatch";
-  Array.blit hart.h_values 0 cpu.Cpu.values 0 (Array.length hart.h_values);
-  Array.blit hart.h_nats 0 cpu.Cpu.nats 0 (Array.length hart.h_nats);
-  Array.blit hart.h_preds 0 cpu.Cpu.preds 0 (Array.length hart.h_preds);
+  refill hart.h_values cpu.Cpu.values;
+  refill hart.h_nats cpu.Cpu.nats;
+  refill hart.h_preds cpu.Cpu.preds;
   cpu.Cpu.unat <- hart.h_unat;
   cpu.Cpu.ip <- hart.h_ip;
   import_stats hart.h_stats cpu.Cpu.stats;
@@ -155,13 +129,8 @@ let import_cpu hart (cpu : Cpu.t) =
   match hart.h_ftregs with
   | None -> ()
   | Some (ids, depths) ->
-      let regs = cpu.Cpu.ftregs in
-      if
-        Array.length ids <> Array.length regs.Flowtrace.id
-        || Array.length depths <> Array.length regs.Flowtrace.depth
-      then invalid_arg "Snapshot.import_cpu: ftregs arity mismatch";
-      Array.blit ids 0 regs.Flowtrace.id 0 (Array.length ids);
-      Array.blit depths 0 regs.Flowtrace.depth 0 (Array.length depths)
+      refill ids cpu.Cpu.ftregs.Flowtrace.id;
+      refill depths cpu.Cpu.ftregs.Flowtrace.depth
 
 (* the pages of a memory or provenance map, in ascending key order *)
 let dump_pages fold_pages x =
@@ -177,79 +146,70 @@ let load_memory mem pages =
 let load_provenance pmap pages =
   List.iter (fun (key, data) -> Provenance.load_page pmap key data) pages
 
-let envelope ?(meta = []) ?tracking ~image ~config ~fuel_left ~result ~world
-    ~memory machine flow =
-  let world = World.dump world in
-  { meta; image; config; fuel_left; result; memory; machine; world; flow; tracking }
-
-let capture ?meta ?tracking ~image ~config ~fuel_left ~result ~engine ~world () =
-  let traced = config.c_trace <> None in
-  let hart0 = Exec.hart0 engine in
-  let machine =
-    match Exec.machine engine with
-    | Exec.Custom _ ->
-        (* a process-table engine checkpoints through capture_procs *)
-        invalid_arg "Snapshot.capture: custom engines have their own capture"
-    | Exec.Cpu cpu -> M_cpu (export_cpu ~traced cpu)
-    | Exec.Smp smp ->
-        M_smp
-          {
-            sm_quantum = Smp.quantum smp;
-            sm_harts =
-              List.map
-                (fun (id, state, cpu) -> (id, state, export_cpu ~traced cpu))
-                (Smp.harts smp);
-            sm_round = Smp.round smp;
-            sm_finished = Smp.finished smp;
-          }
+(* A process table (when the engine runs one) is dumped per process:
+   every process carries its own address space and provenance shadow,
+   so the top-level [memory] (and the flow entry's page list) stay
+   empty.  Any other engine is dumped by its shape. *)
+let capture ?(meta = []) ?tracking ?procs ~image ~(config : Config.t) ~fuel_left
+    ~result ~engine ~world () =
+  let traced = config.Config.trace <> None in
+  let machine, memory, provenance =
+    match procs with
+    | Some procs ->
+        let pm_procs =
+          List.map
+            (fun (p : Process.part) ->
+              {
+                ps_pid = p.Process.p_pid;
+                ps_parent = p.Process.p_parent;
+                ps_image = p.Process.p_image;
+                ps_state = p.Process.p_state;
+                ps_hart = export_cpu ~traced p.Process.p_cpu;
+                ps_mem = dump_memory p.Process.p_cpu.Cpu.mem;
+                ps_prov = (if traced then dump_provenance p.Process.p_pmap else []);
+                ps_ctx = World.dump_ctx p.Process.p_ctx;
+              })
+            (Process.parts procs)
+        in
+        ( M_procs
+            {
+              pm_quantum = Process.quantum procs;
+              pm_next_pid = Process.next_pid procs;
+              pm_procs;
+              pm_round = Process.round procs;
+              pm_finished = Process.finished procs;
+              pm_retired = Stats.copy (Process.retired procs);
+            },
+          [],
+          [] )
+    | None ->
+        let hart0 = Exec.hart0 engine in
+        let machine =
+          match Exec.machine engine with
+          | Exec.Smp smp ->
+              M_smp
+                {
+                  sm_quantum = Smp.quantum smp;
+                  sm_harts =
+                    List.map
+                      (fun (id, state, cpu) -> (id, state, export_cpu ~traced cpu))
+                      (Smp.harts smp);
+                  sm_round = Smp.round smp;
+                  sm_finished = Smp.finished smp;
+                }
+          | Exec.Cpu _ | Exec.Custom _ -> M_cpu (export_cpu ~traced hart0)
+        in
+        ( machine,
+          dump_memory hart0.Cpu.mem,
+          if traced then dump_provenance (Flowtrace.provenance hart0.Cpu.flowtrace)
+          else [] )
   in
   let flow =
-    if traced then
-      let ft = hart0.Cpu.flowtrace in
-      Some (Flowtrace.dump ft, dump_provenance (Flowtrace.provenance ft))
+    if traced then Some (Flowtrace.dump (Exec.hart0 engine).Cpu.flowtrace, provenance)
     else None
   in
-  envelope ?meta ?tracking ~image ~config ~fuel_left ~result ~world
-    ~memory:(dump_memory hart0.Cpu.mem) machine flow
-
-(* Like [capture], for a process-table machine: every process carries
-   its own address space and provenance shadow, so the pages live
-   per-process and the top-level [memory] (and the flow entry's page
-   list) stay empty. *)
-let capture_procs ?meta ?tracking ~image ~config ~fuel_left ~result
-    ~(procs : Process.t) ~world () =
-  let traced = config.c_trace <> None in
-  let pm_procs =
-    List.map
-      (fun (p : Process.part) ->
-        {
-          ps_pid = p.Process.p_pid;
-          ps_parent = p.Process.p_parent;
-          ps_image = p.Process.p_image;
-          ps_state = p.Process.p_state;
-          ps_hart = export_cpu ~traced p.Process.p_cpu;
-          ps_mem = dump_memory p.Process.p_cpu.Cpu.mem;
-          ps_prov = (if traced then dump_provenance p.Process.p_pmap else []);
-          ps_ctx = World.dump_ctx p.Process.p_ctx;
-        })
-      (Process.parts procs)
-  in
-  let flow =
-    if traced then
-      Some (Flowtrace.dump (Process.pid1_cpu procs).Cpu.flowtrace, [])
-    else None
-  in
-  envelope ?meta ?tracking ~image ~config ~fuel_left ~result ~world ~memory:[]
-    (M_procs
-       {
-         pm_quantum = Process.quantum procs;
-         pm_next_pid = Process.next_pid procs;
-         pm_procs;
-         pm_round = Process.round procs;
-         pm_finished = Process.finished procs;
-         pm_retired = Stats.copy (Process.retired procs);
-       })
-    flow
+  { meta; image; config; fuel_left; result; memory; machine;
+    world = World.dump world; flow; tracking }
 
 (* ---------- JSON serialisation ----------
 
@@ -646,7 +606,7 @@ let io_cost =
   |+ field "sendfile_per_byte" int (fun c -> c.World.sendfile_per_byte)
   |> seal
 
-let threading =
+let threading : Config.threading Codec.t =
   let single = case "single" Args.[]
   and threads = case "threads" Args.[ ("quantum", option int) ]
   and procs =
@@ -654,14 +614,14 @@ let threading =
   in
   variant "kind"
     [
-      (single => fun _ -> T_single);
-      (threads => fun Vals.[ q ] -> T_threads q);
-      (procs => fun Vals.[ q; c ] -> T_procs { tp_quantum = q; tp_comm = c });
+      (single => fun _ -> Config.Single);
+      (threads => fun Vals.[ quantum ] -> Config.Threads { quantum });
+      (procs => fun Vals.[ quantum; comm ] -> Config.Processes { quantum; comm });
     ]
     (function
-      | T_single -> put single Vals.[]
-      | T_threads q -> put threads Vals.[ q ]
-      | T_procs { tp_quantum = q; tp_comm = c } -> put procs Vals.[ q; c ])
+      | Config.Single -> put single Vals.[]
+      | Config.Threads { quantum } -> put threads Vals.[ quantum ]
+      | Config.Processes { quantum; comm } -> put procs Vals.[ quantum; comm ])
 
 let trace_options =
   let kind = enum "event kind" Flowtrace.kind_to_string Flowtrace.kind_of_string in
@@ -670,33 +630,34 @@ let trace_options =
   |+ field "only" (option (list kind)) (fun o -> o.Flowtrace.only)
   |> seal
 
+(* [setup] is a closure and is never written: a restored session does
+   not run it, so it decodes to a no-op *)
 let config =
   let backend =
     enum "backend" Backend.to_string (fun s ->
         Result.to_option (Backend.of_string s))
   and aux_image = obj2 ("name", string) ("image", image "aux image") in
   record
-    (fun c_policy c_io_cost c_fuel c_threading c_trace c_superblocks c_hwtrace
-         c_backend c_images c_coproc_capacity c_coproc_drain_rate
-         c_coproc_stall_penalty ->
-      { c_policy; c_io_cost; c_fuel; c_threading; c_trace; c_hwtrace;
-        c_superblocks; c_backend; c_images; c_coproc_capacity;
-        c_coproc_drain_rate; c_coproc_stall_penalty })
-  |+ field "policy" policy (fun c -> c.c_policy)
-  |+ field "io_cost" io_cost (fun c -> c.c_io_cost)
-  |+ field "fuel" int (fun c -> c.c_fuel)
-  |+ field "threading" threading (fun c -> c.c_threading)
-  |+ field "trace" (option trace_options) (fun c -> c.c_trace)
-  |+ field "superblocks" bool (fun c -> c.c_superblocks)
-  |+ opt "hwtrace" bool ~default:false (fun c -> c.c_hwtrace)
-  |+ opt "backend" backend ~default:Backend.Nat (fun c -> c.c_backend)
-  |+ opt "images" (list aux_image) ~default:[] (fun c -> c.c_images)
+    (fun policy io_cost fuel threading trace superblocks hwtrace backend images
+         coproc_capacity coproc_drain_rate coproc_stall_penalty ->
+      { Config.policy; io_cost; fuel; setup = Config.default.Config.setup;
+        threading; trace; hwtrace; superblocks; backend; images;
+        coproc_capacity; coproc_drain_rate; coproc_stall_penalty })
+  |+ field "policy" policy (fun c -> c.Config.policy)
+  |+ field "io_cost" io_cost (fun c -> c.Config.io_cost)
+  |+ field "fuel" int (fun c -> c.Config.fuel)
+  |+ field "threading" threading (fun c -> c.Config.threading)
+  |+ field "trace" (option trace_options) (fun c -> c.Config.trace)
+  |+ field "superblocks" bool (fun c -> c.Config.superblocks)
+  |+ opt "hwtrace" bool ~default:false (fun c -> c.Config.hwtrace)
+  |+ opt "backend" backend ~default:Backend.Nat (fun c -> c.Config.backend)
+  |+ opt "images" (list aux_image) ~default:[] (fun c -> c.Config.images)
   |+ opt "coproc_capacity" (option int) ~default:None (fun c ->
-         c.c_coproc_capacity)
+         c.Config.coproc_capacity)
   |+ opt "coproc_drain_rate" (option int) ~default:None (fun c ->
-         c.c_coproc_drain_rate)
+         c.Config.coproc_drain_rate)
   |+ opt "coproc_stall_penalty" (option int) ~default:None (fun c ->
-         c.c_coproc_stall_penalty)
+         c.Config.coproc_stall_penalty)
   |> seal
 
 (* ---- pages and world ---- *)
@@ -792,13 +753,24 @@ let world =
 
 (* ---- machine state ---- *)
 
+let checked what ok c =
+  conv Fun.id (fun v -> if ok v then v else bad "%s out of range" what) c
+
+(* Every array a hart carries has the length a fresh machine's has: a
+   snapshot that disagrees is refused here, naming the field, rather
+   than when restore copies it into the machine. *)
+let sized what n c =
+  conv Fun.id
+    (fun a ->
+      let len = Array.length a in
+      if len <> n then bad "%s has %d entries, expected %d" what len n;
+      a)
+    c
+
 let stats =
-  let arity = Array.length (Stats.create ()).Stats.slots_by_prov in
   record
     (fun instructions cycles loads stores branches predicated_off syscalls
          io_cycles slots_by_prov ->
-      if Array.length slots_by_prov <> arity then
-        bad "issue-slot provenance arity mismatch";
       { Stats.instructions; cycles; loads; stores; branches; predicated_off;
         syscalls; io_cycles; slots_by_prov })
   |+ field "instructions" int (fun s -> s.Stats.instructions)
@@ -809,8 +781,14 @@ let stats =
   |+ field "predicated_off" int (fun s -> s.Stats.predicated_off)
   |+ field "syscalls" int (fun s -> s.Stats.syscalls)
   |+ field "io_cycles" int (fun s -> s.Stats.io_cycles)
-  |+ field "slots_by_prov" (array int) (fun s -> s.Stats.slots_by_prov)
+  |+ field "slots_by_prov"
+       (sized "issue-slot provenance list"
+          (Array.length (Stats.create ()).Stats.slots_by_prov)
+          (array int))
+       (fun s -> s.Stats.slots_by_prov)
   |> seal
+
+let fresh_cache = Cache.export (Cache.create ())
 
 let pipe =
   record (fun s_cycle s_slots_used s_mem_used s_reg_ready s_pred_ready ->
@@ -818,32 +796,46 @@ let pipe =
   |+ field "cycle" int (fun p -> p.Pipeline.s_cycle)
   |+ field "slots_used" int (fun p -> p.Pipeline.s_slots_used)
   |+ field "mem_used" int (fun p -> p.Pipeline.s_mem_used)
-  |+ field "reg_ready" (array int) (fun p -> p.Pipeline.s_reg_ready)
-  |+ field "pred_ready" (array int) (fun p -> p.Pipeline.s_pred_ready)
+  |+ field "reg_ready"
+       (sized "register scoreboard" Reg.count (array int))
+       (fun p -> p.Pipeline.s_reg_ready)
+  |+ field "pred_ready"
+       (sized "predicate scoreboard" Pred.count (array int))
+       (fun p -> p.Pipeline.s_pred_ready)
   |> seal
 
 let cache =
   record (fun s_lines s_hits s_misses s_line_shift ->
       { Cache.s_lines; s_hits; s_misses; s_line_shift })
-  |+ field "lines" (array int64) (fun c -> c.Cache.s_lines)
+  |+ field "lines"
+       (sized "cache set list" (Array.length fresh_cache.Cache.s_lines)
+          (array int64))
+       (fun c -> c.Cache.s_lines)
   |+ field "hits" int (fun c -> c.Cache.s_hits)
   |+ field "misses" int (fun c -> c.Cache.s_misses)
   (* absent in images written before the geometry check: those were all
      taken under the default 64-byte lines *)
-  |+ field "line_shift" int ~default:6 (fun c -> c.Cache.s_line_shift)
+  |+ field "line_shift"
+       (checked "line size" (( = ) fresh_cache.Cache.s_line_shift) int)
+       ~default:6
+       (fun c -> c.Cache.s_line_shift)
   |> seal
 
 let hart =
   let frame = pair "call-stack frame" int int64
-  and ftregs = obj2 ("id", array int) ("depth", array int) in
+  and ftregs =
+    let shadow = sized "register provenance shadow" Reg.count (array int) in
+    obj2 ("id", shadow) ("depth", shadow)
+  in
   record
     (fun h_values h_nats h_preds h_unat h_ip h_stats h_pipe h_cache h_call_stack
          h_ftregs ->
       { h_values; h_nats; h_preds; h_unat; h_ip; h_stats; h_pipe; h_cache;
         h_call_stack; h_ftregs })
-  |+ field "values" (array int64) (fun h -> h.h_values)
-  |+ field "nats" bits (fun h -> h.h_nats)
-  |+ field "preds" bits (fun h -> h.h_preds)
+  |+ field "values" (sized "register file" Reg.count (array int64)) (fun h ->
+         h.h_values)
+  |+ field "nats" (sized "NaT file" Reg.count bits) (fun h -> h.h_nats)
+  |+ field "preds" (sized "predicate file" Pred.count bits) (fun h -> h.h_preds)
   |+ field "unat" int64 (fun h -> h.h_unat)
   |+ field "ip" int (fun h -> h.h_ip)
   |+ field "stats" stats (fun h -> h.h_stats)
@@ -980,9 +972,6 @@ let flow =
 (* Register indices, access lengths and addresses are range-checked on
    the way in: a queued record is applied only when it drains, long
    after the restore, and must not index past the tag file then. *)
-let checked what ok c =
-  conv Fun.id (fun v -> if ok v then v else bad "%s out of range" what) c
-
 let reg = checked "register" (fun r -> r >= 0 && r < Reg.count) int
 let access_len = checked "access length" (fun n -> n >= 1 && n <= 8) int
 let access_addr = checked "access address" Shift_mem.Addr.is_valid int64
@@ -1019,9 +1008,7 @@ let tracking =
   let queued = obj2 ("record", tracking_record) ("at", int) in
   record (fun d_regs d_queue d_retired d_pending_stall ->
       { Tracking.d_regs; d_queue; d_retired; d_pending_stall })
-  |+ field "regs"
-       (checked "tag file length" (fun a -> Array.length a = Reg.count) bits)
-       (fun d -> d.Tracking.d_regs)
+  |+ field "regs" (sized "tag file" Reg.count bits) (fun d -> d.Tracking.d_regs)
   |+ field "queue" (list queued) (fun d -> d.Tracking.d_queue)
   |+ field "retired" int (fun d -> d.Tracking.d_retired)
   |+ field "pending_stall" int (fun d -> d.Tracking.d_pending_stall)
@@ -1031,17 +1018,34 @@ let tracking =
 
 (* the coprocessor state must belong to a coproc session and fit the
    queue its knobs describe *)
-let check_tracking config (d : Tracking.dump) =
-  if config.c_backend <> Backend.Coproc then
+let check_tracking (config : Config.t) (d : Tracking.dump) =
+  if config.Config.backend <> Backend.Coproc then
     bad "tracking: tag-queue state under the %s backend"
-      (Backend.to_string config.c_backend);
+      (Backend.to_string config.Config.backend);
   let capacity =
-    max 1 (Option.value config.c_coproc_capacity ~default:Tracking.default_capacity)
+    max 1
+      (Option.value config.Config.coproc_capacity
+         ~default:Tracking.default_capacity)
   in
   let queued = List.length d.Tracking.d_queue in
   if queued > capacity then
     bad "tracking: %d queued records exceed the queue capacity %d" queued
       capacity
+
+(* every process runs the main image or an auxiliary one the
+   configuration names *)
+let check_images (config : Config.t) = function
+  | M_procs { pm_procs; _ } ->
+      List.iter
+        (fun ps ->
+          match ps.ps_image with
+          | Some name when not (List.mem_assoc name config.Config.images) ->
+              bad "machine: procs: process %d runs image %S, which \
+                   config.images does not name"
+                ps.ps_pid name
+          | _ -> ())
+        pm_procs
+  | M_cpu _ | M_smp _ -> ()
 
 (* the version and kind fields carry no data: they are written as
    constants, and decoding rejects any other value *)
@@ -1058,6 +1062,7 @@ let snapshot =
     (fun () () meta config fuel_left result image memory machine world flow
          tracking ->
       Option.iter (check_tracking config) tracking;
+      check_images config machine;
       { meta; image; config; fuel_left; result; memory; machine; world; flow;
         tracking })
   |+ field "snapshot_version" stamp ignore

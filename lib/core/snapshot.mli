@@ -35,47 +35,6 @@
 
 (** {1 The data model} *)
 
-(** Machine shape, mirrored from [Session.Config.threading] (which this
-    module cannot name without a dependency cycle). *)
-type threading =
-  | T_single
-  | T_threads of int option
-  | T_procs of { tp_quantum : int option; tp_comm : string option }
-
-(** The serialisable part of a session configuration.  The world-setup
-    closure is deliberately absent: its effects are already captured in
-    the world and memory state, so a restored session runs with a no-op
-    setup. *)
-type config = {
-  c_policy : Shift_policy.Policy.t;
-  c_io_cost : Shift_os.World.io_cost;
-  c_fuel : int;  (** the configured budget, not what remains *)
-  c_threading : threading;
-  c_trace : Shift_machine.Flowtrace.options option;
-  c_hwtrace : bool;
-      (** whether the session records the cache-set observation trace;
-          the buffer itself is never snapshotted (a restored session
-          records from the restore point on), and the flag is serialised
-          only when on so untraced snapshots keep their bytes *)
-  c_superblocks : bool;
-      (** whether the superblock compiler may run; the blocks themselves
-          belong to the image's code and are never written (an
-          in-memory snapshot hands the image, code included, to the
-          restored session; a decoded one builds fresh code) *)
-  c_backend : Shift_tracking.Backend.t;
-      (** tracking backend; serialised only when not the default [Nat],
-          so nat snapshots stay byte-identical to pre-backend ones *)
-  c_images : (string * Shift_compiler.Image.t) list;
-      (** auxiliary exec'able images by program name, multi-process
-          sessions only; serialised only when non-empty so every other
-          snapshot shape stays byte-identical to version 1 files *)
-  c_coproc_capacity : int option;
-  c_coproc_drain_rate : int option;
-  c_coproc_stall_penalty : int option;
-      (** the tag-coprocessor queue knobs as configured ([None] = the
-          model default); each is serialised only when set *)
-}
-
 (** One hart's complete execution state. *)
 type hart = {
   h_values : int64 array;
@@ -136,7 +95,15 @@ type t = {
   image : Shift_compiler.Image.t;
       (** embedded so a snapshot is self-contained: [shiftc resume]
           needs nothing but the file *)
-  config : config;
+  config : Config.t;
+      (** the session's configuration.  Every field but [setup] is
+          serialised, and [setup] decodes to a no-op: its effects are
+          already in the world and memory state, and a restored session
+          never runs it.  [hwtrace], [backend], [images] and the three
+          coproc knobs are written only when they differ from their
+          defaults, so snapshots of sessions that do not use them keep
+          their version-1 bytes.  Neither the Hwtrace buffer nor the
+          superblocks compiled under [superblocks] are ever written. *)
   fuel_left : int;
   result : Report.outcome option;  (** set when the run already finished *)
   memory : (int64 * string) list;
@@ -167,8 +134,9 @@ val version : int
 val capture :
   ?meta:(string * string) list ->
   ?tracking:Shift_tracking.Tracking.dump ->
+  ?procs:Shift_os.Process.t ->
   image:Shift_compiler.Image.t ->
-  config:config ->
+  config:Config.t ->
   fuel_left:int ->
   result:Report.outcome option ->
   engine:Shift_machine.Exec.t ->
@@ -177,33 +145,21 @@ val capture :
   t
 (** Deep-copy the machine, memory, world and (when traced) flow state
     out of a live engine.  Safe to call between [run_for] slices only —
-    never from inside a syscall handler.
-    @raise Invalid_argument on a [Custom] engine — a process-table
-    machine checkpoints through {!capture_procs}. *)
-
-val capture_procs :
-  ?meta:(string * string) list ->
-  ?tracking:Shift_tracking.Tracking.dump ->
-  image:Shift_compiler.Image.t ->
-  config:config ->
-  fuel_left:int ->
-  result:Report.outcome option ->
-  procs:Shift_os.Process.t ->
-  world:Shift_os.World.t ->
-  unit ->
-  t
-(** {!capture} for a multi-process machine: every table entry's hart,
-    address space, provenance shadow and kernel context is dumped
-    per process ([M_procs]); the top-level [memory] page list is
-    empty. *)
+    never from inside a syscall handler.  With [procs], the process
+    table behind the engine, every table entry's hart, address space,
+    provenance shadow and kernel context is dumped per process
+    ([M_procs]) and the top-level [memory] page list is empty.  Any
+    other engine is captured by its shape: an SMP machine as [M_smp],
+    anything else as its primary hart ([M_cpu]). *)
 
 val export_cpu : traced:bool -> Shift_machine.Cpu.t -> hart
 (** Deep copy of one hart's state ([traced] adds the register
     provenance shadow). *)
 
 val import_cpu : hart -> Shift_machine.Cpu.t -> unit
-(** Overwrite a freshly created CPU's state with the hart's.
-    @raise Invalid_argument on register-file arity mismatches. *)
+(** Overwrite a freshly created CPU's state with the hart's.  The
+    hart's arrays must have the machine's lengths, as every captured or
+    decoded hart's do. *)
 
 val load_memory : Shift_mem.Memory.t -> (int64 * string) list -> unit
 val load_provenance : Shift_mem.Provenance.t -> (int64 * string) list -> unit
@@ -216,8 +172,10 @@ val to_json : t -> Results.json
 
 val of_json : Results.json -> (t, string) result
 (** Never raises on malformed input: wrong kinds or versions, missing
-    or ill-typed fields, unknown tags and truncated or unreadable embedded images all
-    come back as [Error], with the message naming the field path. *)
+    or ill-typed fields, unknown tags, truncated or unreadable embedded
+    images, hart arrays whose length differs from a fresh machine's and
+    processes running an image [config.images] does not name all come
+    back as [Error], with the message naming the field path. *)
 
 val save : string -> t -> unit
 (** Write [to_json] (pretty-printed) to a file, atomically (write to a

@@ -7,8 +7,12 @@ module Case = Shift_attacks.Attack_case
 
 let tc = Util.tc
 
-let run_case (c : Case.t) ~mode ~input =
-  Shift.Session.run ~policy:c.Case.policy ~setup:input ~fuel:200_000_000 ~mode c.Case.program
+let run_case ?trace (c : Case.t) ~mode ~input =
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy:c.Case.policy ~setup:input
+         ~fuel:200_000_000 ?trace ())
+    (Shift.Session.build ~mode c.Case.program)
 
 let granularities = [ Mode.shift_word; Mode.shift_byte ]
 
@@ -61,10 +65,12 @@ let unprotected_tests =
 let qwik_tests =
   let module Q = Shift_attacks.Qwik_smtpd in
   let run ~mode helo =
-    Shift.Session.run
-      ~policy:Shift_policy.Policy.default
-      ~setup:(fun w -> Shift_os.World.queue_request w helo)
-      ~fuel:200_000_000 ~mode Q.program
+    Shift.Session.exec
+      ~config:
+        (Shift.Session.Config.make ~policy:Shift_policy.Policy.default
+           ~setup:(fun w -> Shift_os.World.queue_request w helo)
+           ~fuel:200_000_000 ())
+      (Shift.Session.build ~mode Q.program)
   in
   [
     tc "qwik-smtpd benign HELO is accepted" (fun () ->
@@ -237,10 +243,8 @@ let provenance_tests =
                   c.Case.program_name lo hi)
                (fun () ->
                  let r =
-                   Shift.Session.run ~policy:c.Case.policy
-                     ~setup:c.Case.exploit ~fuel:200_000_000
-                     ~trace:Shift_machine.Flowtrace.default_options
-                     ~mode:Mode.shift_byte c.Case.program
+                   run_case ~trace:Shift_machine.Flowtrace.default_options c
+                     ~mode:Mode.shift_byte ~input:c.Case.exploit
                  in
                  match Shift.Report.alert r with
                  | Some a ->

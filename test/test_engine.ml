@@ -38,8 +38,8 @@ let monolithic_run ~fuel cpu =
       cpu.Cpu.stats.Stats.cycles <- Pipeline.cycles cpu.Cpu.pipe)
     (fun () -> go fuel)
 
-(* ... and of the pre-engine [Session.run_image]: machine + world,
-   monolithic loop, raw stats *)
+(* ... and of the pre-engine one-shot run: machine + world, monolithic
+   loop, raw stats *)
 let monolithic_stats image ~setup =
   let cpu = Shift.Session.load image in
   let world =
@@ -97,7 +97,10 @@ let differential_tests =
               let reference = monolithic_stats image ~setup in
               let one_shot =
                 stats_sig
-                  (Shift.Session.run_image ~policy:Policy.default ~fuel ~setup
+                  (Shift.Session.exec
+                     ~config:
+                       (Shift.Session.Config.make ~policy:Policy.default ~fuel
+                          ~setup ())
                      image)
                     .Shift.Report.stats
               in

@@ -276,8 +276,9 @@ let tar () =
 let run_tar ?trace () =
   let c = tar () in
   let open Shift_attacks.Attack_case in
-  Shift.Session.run ~policy:c.policy ~setup:c.exploit ?trace
-    ~mode:Shift_compiler.Mode.shift_byte c.program
+  Shift.Session.exec
+    ~config:(Shift.Session.Config.make ~policy:c.policy ~setup:c.exploit ?trace ())
+    (Shift.Session.build ~mode:Shift_compiler.Mode.shift_byte c.program)
 
 let traced_tar options =
   let c = tar () in

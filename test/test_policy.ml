@@ -165,9 +165,12 @@ let signature_tests =
     tc "end-to-end: the phpMyFAQ exploit yields its injection string" (fun () ->
         let c = List.nth Shift_attacks.Attacks.all 6 in
         let r =
-          Shift.Session.run ~policy:c.Shift_attacks.Attack_case.policy
-            ~setup:c.Shift_attacks.Attack_case.exploit
-            ~mode:Shift_compiler.Mode.shift_byte c.Shift_attacks.Attack_case.program
+          Shift.Session.exec
+            ~config:
+              (Shift.Session.Config.make ~policy:c.Shift_attacks.Attack_case.policy
+                 ~setup:c.Shift_attacks.Attack_case.exploit ())
+            (Shift.Session.build ~mode:Shift_compiler.Mode.shift_byte
+               c.Shift_attacks.Attack_case.program)
         in
         match Shift.Report.alert r with
         | Some { Alert.signature = Some s; _ } ->

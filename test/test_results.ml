@@ -275,9 +275,12 @@ let pool_tests =
         let cycles_of (k, mode) =
           let image = Shift.Session.build ~mode k.Spec.program in
           let report =
-            Shift.Session.run_image ~policy:Shift_policy.Policy.default
-              ~fuel:1_000_000_000
-              ~setup:(Spec.setup ~tainted:true k)
+            Shift.Session.exec
+              ~config:
+                (Shift.Session.Config.make ~policy:Shift_policy.Policy.default
+                   ~fuel:1_000_000_000
+                   ~setup:(Spec.setup ~tainted:true k)
+                   ())
               image
           in
           report.Shift.Report.stats.Shift_machine.Stats.cycles
@@ -300,9 +303,12 @@ let pool_tests =
              [ Mode.shift_word; Mode.shift_byte ]);
         let direct mode =
           let image = Shift.Session.build ~mode k.Spec.program in
-          (Shift.Session.run_image ~policy:Shift_policy.Policy.default
-             ~fuel:1_000_000_000
-             ~setup:(Spec.setup ~tainted:true k)
+          (Shift.Session.exec
+             ~config:
+               (Shift.Session.Config.make ~policy:Shift_policy.Policy.default
+                  ~fuel:1_000_000_000
+                  ~setup:(Spec.setup ~tainted:true k)
+                  ())
              image)
             .Shift.Report.stats
             .Shift_machine.Stats.cycles

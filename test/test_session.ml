@@ -114,14 +114,20 @@ let timeout_tests =
   [
     tc "fuel 0 is an immediate timeout" (fun () ->
         expect_timeout "single"
-          (Shift.Session.run ~fuel:0 ~mode:Mode.shift_word spin);
+          (Shift.Session.exec
+             ~config:(Shift.Session.Config.make ~fuel:0 ())
+             (Shift.Session.build ~mode:Mode.shift_word spin));
         let threading = Shift.Session.Config.Threads { quantum = None } in
         expect_timeout "mt"
           (Shift.Session.exec
              ~config:(Shift.Session.Config.make ~fuel:0 ~threading ())
              (Shift.Session.build ~mode:Mode.shift_word spin)));
     tc "a spinning guest times out with its counters intact" (fun () ->
-        let r = Shift.Session.run ~fuel:5000 ~mode:Mode.shift_word spin in
+        let r =
+          Shift.Session.exec
+            ~config:(Shift.Session.Config.make ~fuel:5000 ())
+            (Shift.Session.build ~mode:Mode.shift_word spin)
+        in
         expect_timeout "single" r;
         Util.check_int "all fuel consumed" 5000
           r.Shift.Report.stats.Shift_machine.Stats.instructions;

@@ -218,11 +218,58 @@ let broken_images j =
       ("truncated", String.sub whole 0 (String.length whole / 4 * 2));
     ]
 
-let cache_of f = with_field "machine" (with_field "hart" (with_field "cache" f))
+let hart_of f = with_field "machine" (with_field "hart" f)
+let cache_of f = hart_of (with_field "cache" f)
 let tracking_of f = with_field "tracking" f
 
-let hostile_tests =
+(* an Error whose message names the field path it occurred under *)
+let rejects_at path j =
+  match Shift.Snapshot.of_json j with
+  | Ok _ -> Alcotest.failf "%s: decoded instead of returning Error" path
+  | Error e ->
+      Util.check_bool
+        (Printf.sprintf "%S names %s" e path)
+        true (Str_exists.contains e path)
+
+(* the first [n] entries of a list, or bits of a bit string *)
+let cut n = function
+  | Shift.Results.List l -> Shift.Results.List (List.filteri (fun i _ -> i < n) l)
+  | Shift.Results.String b -> Shift.Results.String (String.sub b 0 n)
+  | _ -> Alcotest.fail "expected a list or a bit string"
+
+(* arrays whose length a fresh machine fixes: restore copies them
+   unchecked, so decoding must refuse any other length *)
+let wrong_sizes =
   [
+    ("a register file of 127 entries", "machine: hart: values",
+     hart_of (with_field "values" (cut 127)));
+    ("a NaT file of 100 bits", "machine: hart: nats",
+     hart_of (with_field "nats" (cut 100)));
+    ("a register scoreboard of 3 entries", "machine: hart: pipe: reg_ready",
+     hart_of (with_field "pipe" (with_field "reg_ready" (cut 3))));
+    ("an empty predicate scoreboard", "machine: hart: pipe: pred_ready",
+     hart_of (with_field "pipe" (set "pred_ready" (Shift.Results.List []))));
+    ("a cache of 3 sets", "machine: hart: cache: lines",
+     cache_of (with_field "lines" (cut 3)));
+  ]
+
+let hostile_tests =
+  List.map
+    (fun (what, path, edit) ->
+      tc (what ^ " is an Error") (fun () ->
+          rejects_at path (edit (Shift.Snapshot.to_json (single_word ())))))
+    wrong_sizes
+  @ [
+    tc "a process running an unconfigured image is an Error" (fun () ->
+        let j = Shift.Snapshot.to_json (procs_exec ()) in
+        rejects_at "machine: procs"
+          (with_field "machine"
+             (with_field "procs" (function
+               | Shift.Results.List (p :: rest) ->
+                   Shift.Results.List
+                     (set "image" (Shift.Results.String "no-such-image") p :: rest)
+               | _ -> Alcotest.fail "no processes"))
+             j));
     tc "a truncated or empty image is an Error" (fun () ->
         let j = Shift.Snapshot.to_json (single_word ()) in
         List.iter
@@ -348,9 +395,101 @@ let hostile_tests =
             | Error _ -> ()));
   ]
 
+(* ---------- the configuration round trip ---------- *)
+
+module Config = Shift.Session.Config
+
+let gen_config aux =
+  let open QCheck.Gen in
+  let small = int_range 0 1000 and opt g = option ~ratio:0.5 g in
+  let* taint_network = bool and* taint_files = bool and* h1 = bool
+  and* h2 = opt (oneofl [ "www"; "/srv/root" ]) and* h3 = bool and* h4 = bool
+  and* h5 = bool and* low_level = bool
+  and* action = oneofl Policy.[ Halt_program; Log_only ] in
+  let policy =
+    { Policy.taint_network; taint_files; h1; h2; h3; h4; h5; low_level; action }
+  in
+  let* per_call = small and* per_byte = small and* sendfile_per_byte = small in
+  let* fuel = int_range 0 max_int
+  and* threading =
+    oneof
+      [
+        return Config.Single;
+        map (fun quantum -> Config.Threads { quantum }) (opt small);
+        map2
+          (fun quantum comm -> Config.Processes { quantum; comm })
+          (opt small) (opt (oneofl [ "main"; "init" ]));
+      ]
+  and* trace =
+    opt
+      (map2
+         (fun capacity only -> { Shift.Flowtrace.capacity; only })
+         (int_range 1 100_000)
+         (opt (list_size (int_range 0 7) (oneofl Shift.Flowtrace.all_kinds))))
+  and* hwtrace = bool and* superblocks = bool
+  and* backend = oneofl Backend.[ Nat; Coproc; Off ]
+  and* images = oneofl [ []; [ ("aux", aux) ] ]
+  and* coproc_capacity = opt small and* coproc_drain_rate = opt small
+  and* coproc_stall_penalty = opt small in
+  return
+    (Config.make ~policy
+       ~io_cost:{ Shift.World.per_call; per_byte; sendfile_per_byte }
+       ~fuel ~threading ?trace ~hwtrace ~superblocks ~backend ~images
+       ?coproc_capacity ?coproc_drain_rate ?coproc_stall_penalty ())
+
+(* an image by its content; its code is derived and holds closures *)
+let image_content (i : Shift.Image.t) =
+  Marshal.to_string
+    Shift.Image.(i.program, i.data, i.symbols, i.mode, i.func_sizes)
+    []
+
+(* every serialisable field compared on its own: [setup] is a closure,
+   so [=] on the whole record raises *)
+let config_fields (c : Config.t) =
+  Config.
+    [
+      ("policy", Marshal.to_string c.policy []);
+      ("io_cost", Marshal.to_string c.io_cost []);
+      ("fuel", string_of_int c.fuel);
+      ("threading", Marshal.to_string c.threading []);
+      ("trace", Marshal.to_string c.trace []);
+      ("hwtrace", string_of_bool c.hwtrace);
+      ("superblocks", string_of_bool c.superblocks);
+      ("backend", Backend.to_string c.backend);
+      ( "images",
+        String.concat ";"
+          (List.map (fun (n, i) -> n ^ "=" ^ Digest.string (image_content i)) c.images) );
+      ("coproc_capacity", Marshal.to_string c.coproc_capacity []);
+      ("coproc_drain_rate", Marshal.to_string c.coproc_drain_rate []);
+      ("coproc_stall_penalty", Marshal.to_string c.coproc_stall_penalty []);
+    ]
+
+let config_round_trip =
+  let base =
+    lazy
+      (let image =
+         Shift.Session.build ~mode:Mode.shift_word (Util.main_returning [ Build.ret (Build.i 7) ])
+       in
+       (Shift.Session.checkpoint (Shift.Session.start image), image))
+  in
+  QCheck.Test.make ~count:200 ~name:"every config field survives to_json/of_json"
+    (QCheck.make (QCheck.Gen.delay (fun () -> gen_config (snd (Lazy.force base)))))
+    (fun config ->
+      let s = { (fst (Lazy.force base)) with Shift.Snapshot.config } in
+      match Shift.Snapshot.of_json (Shift.Snapshot.to_json s) with
+      | Error e -> QCheck.Test.fail_reportf "did not decode: %s" e
+      | Ok s' ->
+          List.iter2
+            (fun (name, want) (_, got) ->
+              if want <> got then QCheck.Test.fail_reportf "field %s changed" name)
+            (config_fields config)
+            (config_fields s'.Shift.Snapshot.config);
+          true)
+
 let suites =
   [
     ("snapshot.bytes", bytes_tests);
     ("snapshot.save", save_tests);
     ("snapshot.hostile", hostile_tests);
+    ("snapshot.config", [ QCheck_alcotest.to_alcotest config_round_trip ]);
   ]

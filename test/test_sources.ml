@@ -79,6 +79,10 @@ let reader_prog =
       ];
   }
 
+(* a program under the default session configuration *)
+let run ?taint_returns ~mode prog =
+  Shift.Session.exec (Shift.Session.build ?taint_returns ~mode prog)
+
 let return_taint_tests =
   List.map
     (fun mode ->
@@ -87,7 +91,7 @@ let return_taint_tests =
         (fun () ->
           Util.check_i64 "tainted word + value" 812345L
             (Util.exit_code
-               (Shift.Session.run ~taint_returns:[ "read_config_value" ] ~mode reader_prog))))
+               (run ~taint_returns:[ "read_config_value" ] ~mode reader_prog))))
     [
       Mode.shift_word;
       Mode.shift_byte;
@@ -97,16 +101,16 @@ let return_taint_tests =
       tc "configured return values are tainted (software DBT, byte count)" (fun () ->
           Util.check_i64 "8 tainted bytes + value" 812345L
             (Util.exit_code
-               (Shift.Session.run ~taint_returns:[ "read_config_value" ]
+               (run ~taint_returns:[ "read_config_value" ]
                   ~mode:(Mode.Software_dbt { granularity = Shift_mem.Granularity.Word })
                   reader_prog)));
       tc "without the configuration nothing is tainted" (fun () ->
           Util.check_i64 "clean" 12345L
-            (Util.exit_code (Shift.Session.run ~mode:Mode.shift_word reader_prog)));
+            (Util.exit_code (run ~mode:Mode.shift_word reader_prog)));
       tc "uninstrumented code ignores the marker" (fun () ->
           Util.check_i64 "runs normally" 12345L
             (Util.exit_code
-               (Shift.Session.run ~taint_returns:[ "read_config_value" ]
+               (run ~taint_returns:[ "read_config_value" ]
                   ~mode:Mode.Uninstrumented reader_prog)));
       tc "tainted returns flow into sinks" (fun () ->
           let prog =
@@ -132,8 +136,11 @@ let return_taint_tests =
               pointer_policy = Propagate_pointer_taint }
           in
           match
-            (Shift.Session.run_image
-               ~policy:{ Shift_policy.Policy.default with Shift_policy.Policy.h3 = true }
+            (Shift.Session.exec
+               ~config:
+                 (Shift.Session.Config.make
+                    ~policy:{ Shift_policy.Policy.default with Shift_policy.Policy.h3 = true }
+                    ())
                (Shift.Session.build ~options ~taint_returns:[ "fetch_remote" ]
                   ~mode:Mode.shift_byte prog))
               .outcome

@@ -61,14 +61,18 @@ let name_tests =
 
 (* ---------- nat identity (QCheck, sb on and off) ---------- *)
 
+(* [backend] picks both the compilation and the session's tracking *)
+let run ?superblocks ?backend ~mode prog =
+  Shift.Session.exec
+    ~config:(Shift.Session.Config.make ~fuel ?superblocks ?backend ())
+    (Shift.Session.build ?backend ~mode prog)
+
 (* the default path: no backend argument anywhere — exactly what every
    caller wrote before lib/tracking existed *)
-let run_default ~superblocks prog =
-  Shift.Session.run ~fuel ~superblocks ~mode:Mode.shift_word prog
+let run_default ~superblocks prog = run ~superblocks ~mode:Mode.shift_word prog
 
 let run_nat ~superblocks prog =
-  Shift.Session.run ~fuel ~superblocks ~backend:Backend.Nat
-    ~mode:Mode.shift_word prog
+  run ~superblocks ~backend:Backend.Nat ~mode:Mode.shift_word prog
 
 let identity_test =
   QCheck.Test.make ~count:30
@@ -94,12 +98,9 @@ let coproc_differential_test =
       let prog = Test_random.gen_program seed in
       let base =
         Util.exit_code
-          (Shift.Session.run ~fuel ~backend:Backend.Off ~mode:Mode.shift_word
-             prog)
+          (run ~backend:Backend.Off ~mode:Mode.shift_word prog)
       in
-      Util.exit_code
-        (Shift.Session.run ~fuel ~backend:Backend.Coproc ~mode:Mode.shift_word
-           prog)
+      Util.exit_code (run ~backend:Backend.Coproc ~mode:Mode.shift_word prog)
       = base)
 
 let flow_jsonl ?backend prog =
@@ -127,11 +128,8 @@ let identity_tests =
           (flow_jsonl ~backend:Backend.Nat prog));
     tc "backend none runs the guest with sources and checks off" (fun () ->
         let prog = Test_random.gen_program 11 in
-        let off =
-          Shift.Session.run ~fuel ~backend:Backend.Off ~mode:Mode.shift_word
-            prog
-        in
-        let unins = Shift.Session.run ~fuel ~mode:Mode.Uninstrumented prog in
+        let off = run ~backend:Backend.Off ~mode:Mode.shift_word prog in
+        let unins = run ~mode:Mode.Uninstrumented prog in
         Util.check_i64 "exit code" (Util.exit_code unins) (Util.exit_code off);
         Util.check_int "cycles" (Shift.Report.cycles unins)
           (Shift.Report.cycles off));

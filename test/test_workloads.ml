@@ -13,9 +13,12 @@ let tc = Util.tc
 let small_size (k : Spec.kernel) = max 64 (k.Spec.default_size / 8)
 
 let run_kernel ?(tainted = true) ~mode (k : Spec.kernel) =
-  Shift.Session.run ~policy:Shift_policy.Policy.default
-    ~setup:(Spec.setup ~size:(small_size k) ~tainted k)
-    ~fuel:100_000_000 ~mode k.Spec.program
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy:Shift_policy.Policy.default
+         ~setup:(Spec.setup ~size:(small_size k) ~tainted k)
+         ~fuel:100_000_000 ())
+    (Shift.Session.build ~mode k.Spec.program)
 
 let kernel_modes =
   [
@@ -74,10 +77,15 @@ let overhead_tests =
           Spec.all);
   ]
 
+let httpd ~mode setup =
+  Shift.Session.exec
+    ~config:
+      (Shift.Session.Config.make ~policy:Httpd.policy ~io_cost:Httpd.io_cost
+         ~setup ~fuel:100_000_000 ())
+    (Shift.Session.build ~mode Httpd.program)
+
 let run_httpd ~mode ~file_size ~requests =
-  Shift.Session.run ~policy:Httpd.policy ~io_cost:Httpd.io_cost
-    ~setup:(Httpd.setup ~file_size ~requests)
-    ~fuel:100_000_000 ~mode Httpd.program
+  httpd ~mode (Httpd.setup ~file_size ~requests)
 
 let httpd_tests =
   [
@@ -88,18 +96,15 @@ let httpd_tests =
           (String.length r.Shift.Report.output > 5 * 4096));
     tc "missing file gets a 404" (fun () ->
         let r =
-          Shift.Session.run ~policy:Httpd.policy ~io_cost:Httpd.io_cost
-            ~setup:(fun w -> World.queue_request w "GET /nothing HTTP/1.0\r\n\r\n")
-            ~fuel:100_000_000 ~mode:Mode.shift_word Httpd.program
+          httpd ~mode:Mode.shift_word (fun w ->
+              World.queue_request w "GET /nothing HTTP/1.0\r\n\r\n")
         in
         Util.check_i64 "0 served" 0L (Util.exit_code r);
         Util.check_bool "404 sent" true (Str_exists.contains r.Shift.Report.output "404"));
     tc "directory traversal request trips H2" (fun () ->
         let r =
-          Shift.Session.run ~policy:Httpd.policy ~io_cost:Httpd.io_cost
-            ~setup:(fun w ->
+          httpd ~mode:Mode.shift_word (fun w ->
               World.queue_request w "GET /../../etc/passwd HTTP/1.0\r\n\r\n")
-            ~fuel:100_000_000 ~mode:Mode.shift_word Httpd.program
         in
         match r.Shift.Report.outcome with
         | Shift.Report.Alert a ->

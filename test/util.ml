@@ -10,7 +10,8 @@ let tc name f = Alcotest.test_case name `Quick f
 (* Run a tiny guest program (with the runtime linked) and return its
    report. *)
 let run_prog ?options ?policy ?setup ?(mode = Shift_compiler.Mode.Uninstrumented) prog =
-  Shift.Session.run_image ?policy ?setup ~fuel:200_000_000
+  Shift.Session.exec
+    ~config:(Shift.Session.Config.make ?policy ?setup ~fuel:200_000_000 ())
     (Shift.Session.build ?options ~mode prog)
 
 let exit_code (r : Shift.Report.t) =
