@@ -802,7 +802,12 @@ let client_round ~socket ~raw ~project env =
             print_endline (Protocol.to_line json);
             if Protocol.response_ok json then 0 else 1
         | Ok json when not (Protocol.response_ok json) ->
-            prerr_endline (Protocol.to_line json);
+            (* a refusal prints its message, as the one-shot command does *)
+            (match
+               Option.bind (Shift.Results.member "error" json) (Shift.Results.member "message")
+             with
+            | Some (Shift.Results.String message) -> prerr_endline message
+            | _ -> prerr_endline (Protocol.to_line json));
             1
         | Ok json -> (
             match Shift.Results.member "result" json with

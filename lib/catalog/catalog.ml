@@ -44,12 +44,22 @@ let kernel_job_of ?trace ?size ?(safe = false) ~mode ~superblocks ~backend k =
 
 (* a case under its benign or exploit input: single-process cases get
    the classic shape, multi-process cases bring their process table and
-   aux images along ([Attack_case.config]) *)
+   aux images along ([Attack_case.config]).  The tag coprocessor binds
+   one address space, so it cannot follow a case that forks. *)
 let case_job ?trace ~benign ~mode ~superblocks ~backend (c : Case.t) =
-  let input = if benign then c.Case.benign else c.Case.exploit in
-  Shift.Fleet.job ~name:c.Case.program_name
-    ~config:(Case.config ?trace ~superblocks ~backend ~mode ~input c)
-    (fun () -> Case.image ~backend ~mode c)
+  if c.Case.multiproc <> None && backend = Shift_tracking.Backend.Coproc then
+    Error
+      (Printf.sprintf
+         "case %S forks processes with address spaces of their own, but the \
+          coproc backend tracks a single address space"
+         c.Case.program_name)
+  else
+    let input = if benign then c.Case.benign else c.Case.exploit in
+    Ok
+      (Serve.Job
+         (Shift.Fleet.job ~name:c.Case.program_name
+            ~config:(Case.config ?trace ~superblocks ~backend ~mode ~input c)
+            (fun () -> Case.image ~backend ~mode c)))
 
 (* the leak detector's variant starter: the attack-case config with the
    hardware trace on and flow tracing enabled (so a divergence can name
@@ -83,7 +93,7 @@ let standard : Serve.catalog = function
       Ok (Serve.Job (kernel_job_of ?size ~safe ~mode ~superblocks ~backend k))
   | Protocol.Attack { case; mode; benign; superblocks; backend } ->
       let* c = find_case ~backend ~mode case in
-      Ok (Serve.Job (case_job ~benign ~mode ~superblocks ~backend c))
+      case_job ~benign ~mode ~superblocks ~backend c
   | Protocol.Trace { image; mode; benign; ring; only; superblocks; backend } -> (
       let* only =
         match only with
@@ -93,7 +103,7 @@ let standard : Serve.catalog = function
       let trace = { Shift.Flowtrace.capacity = ring; only } in
       (* an attack case first, then a kernel *)
       match (find_case ~backend ~mode image, find_kernel image) with
-      | Ok c, _ -> Ok (Serve.Job (case_job ~trace ~benign ~mode ~superblocks ~backend c))
+      | Ok c, _ -> case_job ~trace ~benign ~mode ~superblocks ~backend c
       | Error _, Ok k -> Ok (Serve.Job (kernel_job_of ~trace ~mode ~superblocks ~backend k))
       | Error _, Error _ ->
           Error (Printf.sprintf "unknown image %S: not an attack case or kernel" image))

@@ -32,4 +32,6 @@ val leak_start :
 val standard : Shift.Serve.catalog
 (** The catalogue over the SPEC-like kernel suite and every case
     {!Shift_attacks.Attacks.find} resolves.  [Error msg] (listing the
-    known names) for anything the suites don't contain. *)
+    known names) for anything the suites don't contain, and for a
+    multi-process case under the [coproc] backend, whose tag pipeline
+    tracks a single address space. *)

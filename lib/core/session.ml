@@ -118,22 +118,9 @@ type live = {
   world : World.t;
   engine : Exec.t;
   tracking : Tracking.t;
-  procs : Procs.t option;
-      (** the process table behind a [Custom] engine, for checkpoint *)
   mutable fuel_left : int;
   mutable result : Report.outcome option;
 }
-
-(* the engine closures a process table presents to the session layer *)
-let procs_engine procs =
-  Exec.of_custom
-    {
-      Exec.c_run_for = (fun ~budget -> Procs.run_for procs ~budget);
-      c_stats = (fun () -> Procs.stats procs);
-      c_hart0 = (fun () -> Procs.pid1_cpu procs);
-      c_superblock_stats = (fun () -> Procs.superblock_stats procs);
-      c_cache_stats = (fun () -> Procs.cache_stats procs);
-    }
 
 (* fresh CPUs for images the guest execs by name *)
 let image_loader images ~comm = Option.map load (List.assoc_opt comm images)
@@ -168,18 +155,16 @@ let arm_hwtrace config engine =
   if config.Config.hwtrace then
     (Exec.hart0 engine).Cpu.hwtrace <- Shift_machine.Hwtrace.create ()
 
-(* an SMP machine, with the world's spawn/join calls routed to it *)
-let smp_engine world smp =
-  World.set_threads world
-    ~spawn:(fun parent ~entry ~arg -> Smp.spawn smp ~parent ~entry ~arg)
-    ~join:(fun tid ->
-      match Smp.state_of smp tid with
-      | Some Smp.Running -> None
-      | Some (Smp.Done v) -> Some v
-      | Some (Smp.Crashed _) | None -> Some (-1L));
-  Exec.of_smp smp
-
 let smp_stack_stride = Int64.of_int (1 lsl 20)
+
+(* an SMP machine, with the world's spawn/join calls routed to it *)
+let smp_engine world sched =
+  World.set_threads world
+    ~spawn:(fun parent ~entry ~arg ->
+      Smp.spawn sched ~stack_top:Shift_compiler.Layout.stack_top
+        ~stack_stride:smp_stack_stride ~parent ~entry ~arg)
+    ~join:(Smp.join sched);
+  Exec.of_sched sched
 
 let start ?(config = Config.default) (image : Image.t) =
   let cpu = load image in
@@ -192,14 +177,10 @@ let start ?(config = Config.default) (image : Image.t) =
       config.Config.trace
   in
   wire config ~tracking ~world ~flowtrace cpu;
-  let engine, procs =
+  let engine =
     match config.Config.threading with
-    | Config.Single -> (Exec.of_cpu cpu, None)
-    | Config.Threads { quantum } ->
-        ( smp_engine world
-            (Smp.create ?quantum ~stack_top:Shift_compiler.Layout.stack_top
-               ~stack_stride:smp_stack_stride cpu),
-          None )
+    | Config.Single -> Exec.of_cpu cpu
+    | Config.Threads { quantum } -> smp_engine world (Smp.create ?quantum cpu)
     | Config.Processes { quantum; comm } ->
         (* the coprocessor backend binds its tag pipeline to one
            address space; fork's cloned memories would be invisible
@@ -208,12 +189,10 @@ let start ?(config = Config.default) (image : Image.t) =
           invalid_arg
             "Session.start: the coproc backend tracks a single address \
              space; it cannot drive a multi-process personality";
-        let procs =
-          Procs.create ?quantum ?comm ~world
-            ~load:(image_loader config.Config.images)
-            cpu
-        in
-        (procs_engine procs, Some procs)
+        Exec.of_sched
+          (Procs.create ?quantum ?comm ~world
+             ~load:(image_loader config.Config.images)
+             cpu)
   in
   arm_hwtrace config engine;
   {
@@ -222,7 +201,6 @@ let start ?(config = Config.default) (image : Image.t) =
     world;
     engine;
     tracking;
-    procs;
     fuel_left = config.Config.fuel;
     result = None;
   }
@@ -303,7 +281,7 @@ let checkpoint ?meta live =
     if Tracking.per_instr live.tracking then Some (Tracking.export live.tracking)
     else None
   in
-  Snapshot.capture ?meta ?tracking ?procs:live.procs ~image:live.image
+  Snapshot.capture ?meta ?tracking ~image:live.image
     ~config:live.config ~fuel_left:live.fuel_left ~result:live.result
     ~engine:live.engine ~world:live.world ()
 
@@ -332,19 +310,16 @@ let restore (snap : Snapshot.t) =
     cpu
   in
   let make_cpu hart = make_cpu_on mem image hart in
-  let engine, procs =
+  let engine =
     match snap.Snapshot.machine with
-    | Snapshot.M_cpu hart -> (Exec.of_cpu (make_cpu hart), None)
+    | Snapshot.M_cpu hart -> Exec.of_cpu (make_cpu hart)
     | Snapshot.M_smp { sm_quantum; sm_harts; sm_round; sm_finished } ->
         let harts =
           List.map (fun (id, state, hart) -> (id, state, make_cpu hart)) sm_harts
         in
-        ( smp_engine world
-            (Smp.of_parts ~quantum:sm_quantum
-               ~stack_top:Shift_compiler.Layout.stack_top
-               ~stack_stride:smp_stack_stride ~harts ~round:sm_round
-               ~finished:sm_finished ()),
-          None )
+        smp_engine world
+          (Smp.of_parts ~quantum:sm_quantum ~harts ~round:sm_round
+             ~finished:sm_finished ())
     | Snapshot.M_procs
         { pm_quantum; pm_next_pid; pm_procs; pm_round; pm_finished; pm_retired }
       ->
@@ -386,13 +361,11 @@ let restore (snap : Snapshot.t) =
               })
             pm_procs
         in
-        let procs =
-          Procs.of_parts ~quantum:pm_quantum ~world
-            ~load:(image_loader config.Config.images)
-            ~procs:parts ~next_pid:pm_next_pid ~round:pm_round
-            ~finished:pm_finished ~retired:pm_retired ()
-        in
-        (procs_engine procs, Some procs)
+        Exec.of_sched
+          (Procs.of_parts ~quantum:pm_quantum ~world
+             ~load:(image_loader config.Config.images)
+             ~procs:parts ~next_pid:pm_next_pid ~round:pm_round
+             ~finished:pm_finished ~retired:pm_retired ())
   in
   arm_hwtrace config engine;
   {
@@ -401,7 +374,6 @@ let restore (snap : Snapshot.t) =
     world;
     engine;
     tracking;
-    procs;
     fuel_left = snap.Snapshot.fuel_left;
     result = snap.Snapshot.result;
   }

@@ -1,6 +1,6 @@
 module Image = Shift_compiler.Image
 module Cpu = Shift_machine.Cpu
-module Smp = Shift_machine.Smp
+module Sched = Shift_machine.Sched
 module Exec = Shift_machine.Exec
 module Fault = Shift_machine.Fault
 module Stats = Shift_machine.Stats
@@ -36,7 +36,7 @@ type proc_snap = {
   ps_pid : int;
   ps_parent : int;
   ps_image : string option;
-  ps_state : Process.state;
+  ps_state : Sched.state;
   ps_hart : hart;
   ps_mem : (int64 * string) list;
   ps_prov : (int64 * string) list;
@@ -47,7 +47,7 @@ type machine =
   | M_cpu of hart
   | M_smp of {
       sm_quantum : int;
-      sm_harts : (int * Smp.state * hart) list;
+      sm_harts : (int * Sched.state * hart) list;
       sm_round : (int * int) list;
       sm_finished : Cpu.outcome option;
     }
@@ -146,66 +146,66 @@ let load_memory mem pages =
 let load_provenance pmap pages =
   List.iter (fun (key, data) -> Provenance.load_page pmap key data) pages
 
-(* A process table (when the engine runs one) is dumped per process:
-   every process carries its own address space and provenance shadow,
-   so the top-level [memory] (and the flow entry's page list) stay
-   empty.  Any other engine is dumped by its shape. *)
-let capture ?(meta = []) ?tracking ?procs ~image ~(config : Config.t) ~fuel_left
-    ~result ~engine ~world () =
+(* A process table is dumped per process: every process carries its
+   own address space and provenance shadow, so the top-level [memory]
+   (and the flow entry's page list) stay empty.  Harts share theirs. *)
+let capture ?(meta = []) ?tracking ~image ~(config : Config.t) ~fuel_left ~result
+    ~engine ~world () =
   let traced = config.Config.trace <> None in
+  let hart0 = Exec.hart0 engine in
+  let shared machine =
+    ( machine,
+      dump_memory hart0.Cpu.mem,
+      if traced then dump_provenance (Flowtrace.provenance hart0.Cpu.flowtrace) else [] )
+  in
   let machine, memory, provenance =
-    match procs with
-    | Some procs ->
-        let pm_procs =
-          List.map
-            (fun (p : Process.part) ->
-              {
-                ps_pid = p.Process.p_pid;
-                ps_parent = p.Process.p_parent;
-                ps_image = p.Process.p_image;
-                ps_state = p.Process.p_state;
-                ps_hart = export_cpu ~traced p.Process.p_cpu;
-                ps_mem = dump_memory p.Process.p_cpu.Cpu.mem;
-                ps_prov = (if traced then dump_provenance p.Process.p_pmap else []);
-                ps_ctx = World.dump_ctx p.Process.p_ctx;
-              })
-            (Process.parts procs)
-        in
-        ( M_procs
-            {
-              pm_quantum = Process.quantum procs;
-              pm_next_pid = Process.next_pid procs;
-              pm_procs;
-              pm_round = Process.round procs;
-              pm_finished = Process.finished procs;
-              pm_retired = Stats.copy (Process.retired procs);
-            },
-          [],
-          [] )
-    | None ->
-        let hart0 = Exec.hart0 engine in
-        let machine =
-          match Exec.machine engine with
-          | Exec.Smp smp ->
-              M_smp
+    match Exec.machine engine with
+    | Exec.Cpu cpu -> shared (M_cpu (export_cpu ~traced cpu))
+    | Exec.Sched sched -> (
+        match Process.table sched with
+        | Some procs ->
+            let pm_procs =
+              List.map
+                (fun (p : Process.part) ->
+                  {
+                    ps_pid = p.Process.p_pid;
+                    ps_parent = p.Process.p_parent;
+                    ps_image = p.Process.p_image;
+                    ps_state = p.Process.p_state;
+                    ps_hart = export_cpu ~traced p.Process.p_cpu;
+                    ps_mem = dump_memory p.Process.p_cpu.Cpu.mem;
+                    ps_prov = (if traced then dump_provenance p.Process.p_pmap else []);
+                    ps_ctx = World.dump_ctx p.Process.p_ctx;
+                  })
+                (Process.parts procs)
+            in
+            ( M_procs
                 {
-                  sm_quantum = Smp.quantum smp;
-                  sm_harts =
-                    List.map
-                      (fun (id, state, cpu) -> (id, state, export_cpu ~traced cpu))
-                      (Smp.harts smp);
-                  sm_round = Smp.round smp;
-                  sm_finished = Smp.finished smp;
-                }
-          | Exec.Cpu _ | Exec.Custom _ -> M_cpu (export_cpu ~traced hart0)
-        in
-        ( machine,
-          dump_memory hart0.Cpu.mem,
-          if traced then dump_provenance (Flowtrace.provenance hart0.Cpu.flowtrace)
-          else [] )
+                  pm_quantum = Sched.quantum sched;
+                  pm_next_pid = Process.next_pid procs;
+                  pm_procs;
+                  pm_round = Sched.round sched;
+                  pm_finished = Sched.finished sched;
+                  pm_retired = Stats.copy (Sched.retired sched);
+                },
+              [],
+              [] )
+        | None ->
+            shared
+              (M_smp
+                 {
+                   sm_quantum = Sched.quantum sched;
+                   sm_harts =
+                     List.map
+                       (fun (task : Sched.task) ->
+                         (task.Sched.id, task.Sched.state, export_cpu ~traced task.Sched.cpu))
+                       (Sched.tasks sched);
+                   sm_round = Sched.round sched;
+                   sm_finished = Sched.finished sched;
+                 }))
   in
   let flow =
-    if traced then Some (Flowtrace.dump (Exec.hart0 engine).Cpu.flowtrace, provenance)
+    if traced then Some (Flowtrace.dump hart0.Cpu.flowtrace, provenance)
     else None
   in
   { meta; image; config; fuel_left; result; memory; machine;
@@ -548,35 +548,35 @@ let cpu_outcome : Cpu.outcome Codec.t =
       | Cpu.Faulted (f, ip) -> put faulted Vals.[ f; ip ]
       | Cpu.Out_of_fuel -> put out_of_fuel Vals.[])
 
-let hart_state : Smp.state Codec.t =
+let hart_state : Sched.state Codec.t =
   let running = case "running" Args.[]
   and done_ = case "done" value
   and crashed = case "crashed" struck in
   variant "state"
     [
-      (running => fun _ -> Smp.Running);
-      (done_ => fun Vals.[ v ] -> Smp.Done v);
-      (crashed => fun Vals.[ f; ip ] -> Smp.Crashed (f, ip));
+      (running => fun _ -> Sched.Running);
+      (done_ => fun Vals.[ v ] -> Sched.Done v);
+      (crashed => fun Vals.[ f; ip ] -> Sched.Crashed (f, ip));
     ]
     (function
-      | Smp.Running -> put running Vals.[]
-      | Smp.Done v -> put done_ Vals.[ v ]
-      | Smp.Crashed (f, ip) -> put crashed Vals.[ f; ip ])
+      | Sched.Running -> put running Vals.[]
+      | Sched.Done v -> put done_ Vals.[ v ]
+      | Sched.Crashed (f, ip) -> put crashed Vals.[ f; ip ])
 
-let proc_state : Process.state Codec.t =
+let proc_state : Sched.state Codec.t =
   let run = case "run" Args.[]
   and zombie = case "zombie" value
   and crashed = case "crashed" struck in
   variant "state"
     [
-      (run => fun _ -> Process.Run);
-      (zombie => fun Vals.[ v ] -> Process.Zombie v);
-      (crashed => fun Vals.[ f; ip ] -> Process.Crashed (f, ip));
+      (run => fun _ -> Sched.Running);
+      (zombie => fun Vals.[ v ] -> Sched.Done v);
+      (crashed => fun Vals.[ f; ip ] -> Sched.Crashed (f, ip));
     ]
     (function
-      | Process.Run -> put run Vals.[]
-      | Process.Zombie v -> put zombie Vals.[ v ]
-      | Process.Crashed (f, ip) -> put crashed Vals.[ f; ip ])
+      | Sched.Running -> put run Vals.[]
+      | Sched.Done v -> put zombie Vals.[ v ]
+      | Sched.Crashed (f, ip) -> put crashed Vals.[ f; ip ])
 
 (* ---- configuration ---- *)
 
@@ -606,11 +606,15 @@ let io_cost =
   |+ field "sendfile_per_byte" int (fun c -> c.World.sendfile_per_byte)
   |> seal
 
+(* a scheduler turn of no instructions would never run anything *)
+let quantum =
+  conv Fun.id (fun q -> if q > 0 then q else bad "must be positive, got %d" q) int
+
 let threading : Config.threading Codec.t =
   let single = case "single" Args.[]
-  and threads = case "threads" Args.[ ("quantum", option int) ]
+  and threads = case "threads" Args.[ ("quantum", option quantum) ]
   and procs =
-    case "procs" Args.[ ("quantum", option int); ("comm", option string) ]
+    case "procs" Args.[ ("quantum", option quantum); ("comm", option string) ]
   in
   variant "kind"
     [
@@ -662,7 +666,20 @@ let config =
 
 (* ---- pages and world ---- *)
 
-let pages = list (obj2 ("key", int64) ("data", hex))
+(* dumped pages, each exactly [size] bytes *)
+let pages size =
+  let data =
+    conv Fun.id
+      (fun d ->
+        let n = String.length d in
+        if n <> size then bad "length %d, expected %d" n size;
+        d)
+      hex
+  in
+  list (obj2 ("key", int64) ("data", data))
+
+let memory_pages = pages Memory.page_size
+let provenance_pages = pages Provenance.page_size
 
 let fd_entry : World.fd_entry Codec.t =
   let stream = case "stream" Args.[ ("oid", int) ]
@@ -853,10 +870,20 @@ let proc_snap =
   |+ field "image" (option string) (fun p -> p.ps_image)
   |+ field "state" proc_state (fun p -> p.ps_state)
   |+ field "hart" hart (fun p -> p.ps_hart)
-  |+ field "memory" pages (fun p -> p.ps_mem)
-  |+ field "provenance_pages" pages (fun p -> p.ps_prov)
+  |+ field "memory" memory_pages (fun p -> p.ps_mem)
+  |+ field "provenance_pages" provenance_pages (fun p -> p.ps_prov)
   |+ field "ctx" ctx (fun p -> p.ps_ctx)
   |> seal
+
+(* a schedule Sched can rebuild: {!Sched.check} is the one place its
+   rules live; [tasks] names the field holding the task list *)
+let check_schedule ~tasks ~primary ~quantum ~ids ~round =
+  match Sched.check ~quantum ~primary ~ids ~round with
+  | Ok () -> ()
+  | Error (part, msg) ->
+      bad "%s: %s"
+        (match part with `Quantum -> "quantum" | `Tasks -> tasks | `Round -> "round")
+        msg
 
 let machine =
   let smp_hart = obj3 ("id", int) ("state", hart_state) ("hart", hart)
@@ -876,8 +903,17 @@ let machine =
     [
       (cpu => fun Vals.[ h ] -> M_cpu h);
       (smp => fun Vals.[ sm_quantum; sm_harts; sm_round; sm_finished ] ->
+       check_schedule ~tasks:"harts" ~primary:0 ~quantum:sm_quantum
+         ~ids:(List.map (fun (id, _, _) -> id) sm_harts)
+         ~round:sm_round;
        M_smp { sm_quantum; sm_harts; sm_round; sm_finished });
       (procs => fun Vals.[ q; n; ps; r; f; s ] ->
+       let pids = List.map (fun p -> p.ps_pid) ps in
+       check_schedule ~tasks:"procs" ~primary:1 ~quantum:q ~ids:pids ~round:r;
+       (* fork numbers the next child [next_pid]: it must be new *)
+       List.iter
+         (fun pid -> if pid >= n then bad "next_pid: %d is not above pid %d" n pid)
+         pids;
        M_procs
          { pm_quantum = q; pm_next_pid = n; pm_procs = ps; pm_round = r;
            pm_finished = f; pm_retired = s });
@@ -964,7 +1000,7 @@ let flow =
   |+ field "checks" int (fun (d, _) -> d.Flowtrace.d_checks)
   |+ field "sink_hits" int (fun (d, _) -> d.Flowtrace.d_sink_hits)
   |+ field "max_depth" int (fun (d, _) -> d.Flowtrace.d_max_depth)
-  |+ field "provenance_pages" pages snd
+  |+ field "provenance_pages" provenance_pages snd
   |> seal
 
 (* ---- tag-coprocessor state ---- *)
@@ -1072,7 +1108,7 @@ let snapshot =
   |+ field "fuel_left" int (fun t -> t.fuel_left)
   |+ field "result" (option outcome) (fun t -> t.result)
   |+ field "image" (image "image") (fun t -> t.image)
-  |+ field "memory" pages (fun t -> t.memory)
+  |+ field "memory" memory_pages (fun t -> t.memory)
   |+ field "machine" machine (fun t -> t.machine)
   |+ field "world" world (fun t -> t.world)
   |+ field "flow" (option flow) (fun t -> t.flow)

@@ -59,7 +59,8 @@ type proc_snap = {
   ps_parent : int;
   ps_image : string option;
       (** name of the exec'd auxiliary image; [None] = the main image *)
-  ps_state : Shift_os.Process.state;
+  ps_state : Shift_machine.Sched.state;
+      (** written with the process tags: [run], [zombie], [crashed] *)
   ps_hart : hart;
   ps_mem : (int64 * string) list;
   ps_prov : (int64 * string) list;  (** traced runs only, else [[]] *)
@@ -70,7 +71,7 @@ type machine =
   | M_cpu of hart
   | M_smp of {
       sm_quantum : int;
-      sm_harts : (int * Shift_machine.Smp.state * hart) list;
+      sm_harts : (int * Shift_machine.Sched.state * hart) list;
           (** in id order, hart 0 first — finished harts included so
               spawn numbering stays deterministic after restore *)
       sm_round : (int * int) list;
@@ -134,7 +135,6 @@ val version : int
 val capture :
   ?meta:(string * string) list ->
   ?tracking:Shift_tracking.Tracking.dump ->
-  ?procs:Shift_os.Process.t ->
   image:Shift_compiler.Image.t ->
   config:Config.t ->
   fuel_left:int ->
@@ -145,12 +145,12 @@ val capture :
   t
 (** Deep-copy the machine, memory, world and (when traced) flow state
     out of a live engine.  Safe to call between [run_for] slices only —
-    never from inside a syscall handler.  With [procs], the process
-    table behind the engine, every table entry's hart, address space,
-    provenance shadow and kernel context is dumped per process
-    ([M_procs]) and the top-level [memory] page list is empty.  Any
-    other engine is captured by its shape: an SMP machine as [M_smp],
-    anything else as its primary hart ([M_cpu]). *)
+    never from inside a syscall handler.  The engine is captured by its
+    shape: a single hart as [M_cpu], a scheduled machine as [M_smp], or,
+    when a process table owns it ({!Shift_os.Process.table}), as
+    [M_procs], with every table entry's hart, address space, provenance
+    shadow and kernel context dumped per process and the top-level
+    [memory] page list empty. *)
 
 val export_cpu : traced:bool -> Shift_machine.Cpu.t -> hart
 (** Deep copy of one hart's state ([traced] adds the register
@@ -173,9 +173,12 @@ val to_json : t -> Results.json
 val of_json : Results.json -> (t, string) result
 (** Never raises on malformed input: wrong kinds or versions, missing
     or ill-typed fields, unknown tags, truncated or unreadable embedded
-    images, hart arrays whose length differs from a fresh machine's and
-    processes running an image [config.images] does not name all come
-    back as [Error], with the message naming the field path. *)
+    images, hart arrays whose length differs from a fresh machine's,
+    processes running an image [config.images] does not name, memory
+    or provenance pages of the wrong size, non-positive quanta, and
+    schedules {!Shift_machine.Sched.check} refuses (no tasks, a first
+    task other than hart 0 or pid 1, a round naming an unknown task)
+    all come back as [Error], with the message naming the field path. *)
 
 val save : string -> t -> unit
 (** Write [to_json] (pretty-printed) to a file, atomically (write to a

@@ -1,56 +1,32 @@
-type custom = {
-  c_run_for : budget:int -> Cpu.status;
-  c_stats : unit -> Stats.t;
-  c_hart0 : unit -> Cpu.t;
-  c_superblock_stats : unit -> Stats.superblocks;
-  c_cache_stats : unit -> int * int;
-}
-
-type machine =
-  | Cpu of Cpu.t
-  | Smp of Smp.t
-  | Custom of custom
-
+type machine = Cpu of Cpu.t | Sched of Sched.t
 type t = { machine : machine; mutable finished : Cpu.outcome option }
 
 let of_cpu cpu = { machine = Cpu cpu; finished = None }
-let of_smp smp = { machine = Smp smp; finished = None }
-let of_custom c = { machine = Custom c; finished = None }
+let of_sched sched = { machine = Sched sched; finished = None }
 let machine t = t.machine
 let finished t = t.finished
+
+let cpus t =
+  match t.machine with
+  | Cpu cpu -> [ cpu ]
+  | Sched sched -> List.map (fun task -> task.Sched.cpu) (Sched.tasks sched)
 
 let hart0 t =
   match t.machine with
   | Cpu cpu -> cpu
-  | Smp smp -> (
-      match Smp.cpu_of smp 0 with
-      | Some cpu -> cpu
-      | None -> invalid_arg "Exec.hart0: SMP machine without hart 0")
-  | Custom c -> c.c_hart0 ()
+  | Sched sched -> (Sched.primary sched).Sched.cpu
 
 let stats t =
   match t.machine with
   | Cpu cpu -> cpu.Cpu.stats
-  | Smp smp -> Smp.stats smp
-  | Custom c -> c.c_stats ()
+  | Sched sched -> Sched.stats sched
 
-let superblock_stats t =
-  match t.machine with
-  | Cpu cpu -> Stats.sb_total [ Superblock.stats cpu ]
-  | Smp smp ->
-      Stats.sb_total
-        (List.map (fun (_, _, cpu) -> Superblock.stats cpu) (Smp.harts smp))
-  | Custom c -> c.c_superblock_stats ()
+let superblock_stats t = Stats.sb_total (List.map Superblock.stats (cpus t))
 
 let cache_stats t =
-  match t.machine with
-  | Cpu cpu -> (Cache.hits cpu.Cpu.cache, Cache.misses cpu.Cpu.cache)
-  | Smp smp ->
-      List.fold_left
-        (fun (h, m) (_, _, cpu) ->
-          (h + Cache.hits cpu.Cpu.cache, m + Cache.misses cpu.Cpu.cache))
-        (0, 0) (Smp.harts smp)
-  | Custom c -> c.c_cache_stats ()
+  List.fold_left
+    (fun (h, m) cpu -> (h + Cache.hits cpu.Cpu.cache, m + Cache.misses cpu.Cpu.cache))
+    (0, 0) (cpus t)
 
 let run_for t ~budget =
   match t.finished with
@@ -59,8 +35,7 @@ let run_for t ~budget =
       let status =
         match t.machine with
         | Cpu cpu -> Superblock.run_for cpu ~budget
-        | Smp smp -> Smp.run_for smp ~budget
-        | Custom c -> c.c_run_for ~budget
+        | Sched sched -> Sched.run_for sched ~budget
       in
       (match status with
       | `Finished o -> t.finished <- Some o

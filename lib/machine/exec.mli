@@ -1,8 +1,9 @@
 (** The resumable execution engine: one suspend/resume interface over
-    both machine shapes.
+    both machine shapes, a single CPU and a {!Sched} round robin (SMP
+    harts or OS processes).
 
-    Every run loop in the system — single-hart runs, the SMP round
-    robin, the session layer, batch fleets, the CLI — drives a machine
+    Every run loop in the system — single-hart runs, the scheduled
+    machines, the session layer, batch fleets, the CLI — drives a machine
     through this module's {!run_for}, which executes a bounded number
     of instructions and suspends at an instruction-group boundary.
     Suspension touches no machine state, so the instruction stream, and
@@ -14,25 +15,12 @@
     checkpointing: a host can interleave many guests by rotating
     [run_for] slices across their engines. *)
 
-(** A machine shape defined by its driver, for schedulers that live
-    above this library (the multi-process OS personality in
-    [Shift_os.Process]).  The closures must satisfy the same contract
-    as the built-in shapes: [c_run_for] suspends without touching
-    machine state, [c_hart0] is the primary CPU, [c_stats] and
-    [c_superblock_stats] aggregate across the machine. *)
-type custom = {
-  c_run_for : budget:int -> Cpu.status;
-  c_stats : unit -> Stats.t;
-  c_hart0 : unit -> Cpu.t;
-  c_superblock_stats : unit -> Stats.superblocks;
-  c_cache_stats : unit -> int * int;  (** (hits, misses) over the machine *)
-}
-
 (** The machine shapes an engine can drive. *)
 type machine =
   | Cpu of Cpu.t  (** a single hart *)
-  | Smp of Smp.t  (** a deterministic round robin over shared memory *)
-  | Custom of custom  (** an externally scheduled machine *)
+  | Sched of Sched.t
+      (** a deterministic round robin: SMP harts over shared memory
+          ({!Smp}) or a process table ([Shift_os.Process]) *)
 
 type t
 (** An engine instance: a machine plus its memoised terminal outcome. *)
@@ -40,30 +28,29 @@ type t
 val of_cpu : Cpu.t -> t
 (** Drive a single-hart machine. *)
 
-val of_smp : Smp.t -> t
-(** Drive a multi-hart machine (hart 0's outcome terminates the run). *)
-
-val of_custom : custom -> t
-(** Drive an externally scheduled machine through its closures. *)
+val of_sched : Sched.t -> t
+(** Drive a scheduled machine (the primary task's outcome terminates
+    the run). *)
 
 val machine : t -> machine
 (** The underlying machine. *)
 
 val hart0 : t -> Cpu.t
-(** The primary hart: the CPU itself, or hart 0 of an SMP machine.
-    @raise Invalid_argument if an SMP machine has no hart 0 (cannot
-    happen for machines built with {!Smp.create}). *)
+(** The primary hart: the CPU itself, or the primary task (hart 0,
+    pid 1) of a scheduled machine. *)
 
 val stats : t -> Stats.t
 (** The run's counters: the CPU's own (live, shared) for a single hart;
-    a fresh {!Stats.concurrent} aggregate over all harts for SMP. *)
+    a fresh aggregate for a scheduled machine, combined as its
+    {!Sched.shape} says. *)
 
 val superblock_stats : t -> Stats.superblocks
 (** A fresh aggregate of the host-side superblock counters across all
-    harts (see {!Stats.superblocks}: never part of simulated state). *)
+    tasks (see {!Stats.superblocks}: never part of simulated state). *)
 
 val cache_stats : t -> int * int
-(** L1D [(hits, misses)] summed across all harts.  The counters are
+(** L1D [(hits, misses)] summed across all tasks on the machine (a
+    reaped process takes its cache counters with it).  The counters are
     simulated state (they ride {!Cache.snap} through checkpoints), so
     unlike {!superblock_stats} they are deterministic per run. *)
 

@@ -2,10 +2,11 @@
     item ("extend SHIFT for multi-threaded applications", §4.4 and §8).
 
     Harts share the memory image (and with it the taint bitmap) but have
-    private register files, pipelines and caches.  Scheduling is a
-    deterministic round robin with a configurable quantum; instructions
-    never interleave mid-operation, so [fetchadd] is atomic and guest
-    ticket locks work.
+    private register files, pipelines and caches.  They are the tasks of
+    a {!Sched.Concurrent} machine: hart 0 is the primary, and the
+    deterministic round robin with its configurable quantum is
+    {!Sched}'s.  This module adds what is particular to threads:
+    spawning a hart on the parent's memory, and the state [join] reads.
 
     This layer is exactly where the paper's §4.4 caveat lives: the
     instrumentation's bitmap read-modify-write sequences are {e not}
@@ -13,86 +14,36 @@
     can lose an update (see test/test_smp.ml, which demonstrates the
     race the paper cites). *)
 
-(** Lifecycle of one hart. *)
-type state =
-  | Running                     (** scheduled; has not finished yet *)
-  | Done of int64               (** returned (or halted) with this value *)
-  | Crashed of Fault.t * int
-      (** faulted; the [int] is the faulting instruction's address *)
+val create : ?quantum:int -> Cpu.t -> Sched.t
+(** Wrap an initialised machine as hart 0.  [quantum] (default 50) is
+    how many instructions a hart runs before the next takes over.
+    @raise Invalid_argument if [quantum <= 0]. *)
 
-type t
-(** A machine of one or more harts sharing a memory image. *)
-
-val create : ?quantum:int -> stack_top:int64 -> stack_stride:int64 -> Cpu.t -> t
-(** Wrap an initialised machine as hart 0.  New harts get stacks at
-    [stack_top - id * stack_stride].  [quantum] (default 50) is how many
-    instructions a hart runs before the next takes over. *)
-
-val spawn : t -> parent:Cpu.t -> entry:int64 -> arg:int64 -> int
-(** Start a new hart at code address [entry] with [arg] in the first
-    argument register.  The register file is copied from [parent] (so
-    the reserved instrumentation registers are inherited), then the
-    stack pointer is rebased.  Returns the hart id. *)
-
-val state_of : t -> int -> state option
-(** [None] for an unknown hart id. *)
-
-val cpu_of : t -> int -> Cpu.t option
-
-val stats : t -> Stats.t
-(** Fresh aggregated counters over all harts
-    ({!Stats.concurrent}: events sum, [cycles] is the slowest hart's
-    pipeline).  Spawned-hart work is therefore visible in the
-    aggregate, not just hart 0's share. *)
-
-val run_for : t -> budget:int -> Cpu.status
-(** The resumable scheduler: run the deterministic round robin for at
-    most [budget] instructions (summed over all harts) and suspend.
-    Suspension can land mid-quantum; the suspended hart resumes with
-    the remainder of its quantum, so the instruction interleaving — and
-    with it every counter — is byte-identical however a run is sliced
-    into budgets.  Returns [`Finished] with hart 0's outcome once it is
-    done (further calls return the same outcome without stepping).
-    Per-hart cycle counters are finalised on every return, including
-    when a syscall handler raises.  A non-positive budget yields
-    immediately. *)
-
-(** {1 Checkpoint/restore}
-
-    The scheduler state as plain data, so a multi-hart machine can be
-    serialised mid-round and rebuilt in a fresh process.  The per-hart
-    CPUs are exported by reference; serialising their contents is the
-    caller's job (see [Shift.Snapshot]). *)
-
-val quantum : t -> int
-
-val harts : t -> (int * state * Cpu.t) list
-(** All harts in id order, including finished and crashed ones (ids
-    must stay stable so future spawns keep numbering deterministic). *)
-
-val round : t -> (int * int) list
-(** The tail of the current round-robin round as [(hart id, remaining
-    quantum)] pairs — the head may be mid-quantum. *)
-
-val finished : t -> Cpu.outcome option
-
-val of_parts :
-  ?quantum:int ->
+val spawn :
+  Sched.t ->
   stack_top:int64 ->
   stack_stride:int64 ->
-  harts:(int * state * Cpu.t) list ->
+  parent:Cpu.t ->
+  entry:int64 ->
+  arg:int64 ->
+  int
+(** Start a new hart at code address [entry] with [arg] in the first
+    argument register, and return its id.  The register file is copied
+    from [parent] (so the reserved instrumentation registers are
+    inherited), then the stack pointer is rebased to
+    [stack_top - id * stack_stride]. *)
+
+val join : Sched.t -> int -> int64 option
+(** What [sys_join] sees of a hart: [None] while it runs, its result
+    once it is done, [-1] if it crashed or does not exist. *)
+
+val of_parts :
+  quantum:int ->
+  harts:(int * Sched.state * Cpu.t) list ->
   round:(int * int) list ->
   finished:Cpu.outcome option ->
   unit ->
-  t
-(** Rebuild a machine from exported parts.  [harts] must be in id order
-    with hart 0 first; [round] must reference known hart ids.
+  Sched.t
+(** Rebuild a machine from exported parts ({!Sched.check}: hart 0
+    first, ids in order, the round naming known harts).
     @raise Invalid_argument otherwise. *)
-
-val run : ?fuel:int -> t -> Cpu.outcome
-(** Schedule all harts until hart 0 finishes (its outcome is returned),
-    a fault escapes, or the combined instruction budget runs out: one
-    {!run_for} slice of [fuel] instructions, with [`Yielded] surfaced
-    as {!Cpu.Out_of_fuel}.  A hart that returns from its entry function
-    simply finishes with its result; other harts keep running only as
-    long as hart 0 does. *)

@@ -10,6 +10,7 @@ let page_bytes = Memory.page_size (* guest bytes per page *)
 let page_shift = 12 (* log2 page_bytes, same key space as Memory *)
 let page_mask = Int64.of_int (page_bytes - 1)
 let slot_size = 4 (* shadow bytes per guest byte *)
+let page_size = page_bytes * slot_size
 
 let tlb_bits = 6
 let tlb_size = 1 lsl tlb_bits

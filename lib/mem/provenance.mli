@@ -48,6 +48,10 @@ val fold_pages : t -> init:'a -> f:('a -> int64 -> bytes -> 'a) -> 'a
     all-zero pages (a missing page reads as id 0).  The [bytes] is the
     live backing store: do not mutate it. *)
 
+val page_size : int
+(** Bytes of one shadow page as {!fold_pages} hands it out: four per
+    guest byte. *)
+
 val load_page : t -> int64 -> string -> unit
-(** Install a page dumped by {!fold_pages}.
+(** Install a page dumped by {!fold_pages} ({!page_size} bytes).
     @raise Invalid_argument on a size mismatch. *)

@@ -1,4 +1,4 @@
-(** The process table and round-robin scheduler.
+(** The process table.
 
     Grows the OS personality from one address space to many: each
     process owns a CPU, a private memory (and with it the taint
@@ -14,30 +14,24 @@
       the sampled argv bytes — with their taint and provenance — are
       the only data that crosses, re-entering via [sys_getarg].
     - [wait] reaps finished children and folds their counters into the
-      retired-stats accumulator.
+      machine's retired counters.
 
-    Scheduling mirrors {!Shift_machine.Smp}: a resumable round-robin
-    round suspendable mid-quantum at any external budget boundary
-    without perturbing the interleaving, which keeps multi-process
-    runs deterministic under request multiplexing ([shiftc serve]) and
-    checkpointing.  The whole table snapshots through the accessors
-    below plus {!of_parts}. *)
+    The processes are the tasks of a {!Shift_machine.Sched.Time_shared}
+    machine, whose round robin — resumable mid-quantum at any budget
+    boundary, so multi-process runs stay deterministic under request
+    multiplexing ([shiftc serve]) and checkpointing — is the one SMP
+    harts use.  Pid 1 is the primary; a finished process stays on the
+    machine as a zombie until its parent reaps it.  The table rides
+    the machine as its {!Shift_machine.Sched.owner}, so a checkpoint
+    finds it with {!table}. *)
 
 module Cpu = Shift_machine.Cpu
-module Fault = Shift_machine.Fault
-module Stats = Shift_machine.Stats
+module Sched = Shift_machine.Sched
 module Provenance = Shift_mem.Provenance
 
-exception Exec_switch
-(** Raised out of the exec syscall to unwind the replaced image's
-    in-flight superblock; handled by {!run_for}, never escapes. *)
-
-type state =
-  | Run
-  | Zombie of int64  (** exited; status not yet reaped by the parent *)
-  | Crashed of Fault.t * int
-
 type t
+(** A process table: pids, parents, exec'd image names, kernel contexts
+    and provenance shadows beside the machine's tasks. *)
 
 val create :
   ?quantum:int ->
@@ -45,40 +39,18 @@ val create :
   world:World.t ->
   load:(comm:string -> Cpu.t option) ->
   Cpu.t ->
-  t
-(** A one-process table (pid 1 runs [cpu] in the world's base context,
-    named [comm], default ["main"]) with the world's
+  Sched.t
+(** A one-process machine (pid 1 runs [cpu] in the world's base
+    context, named [comm], default ["main"]) with the world's
     fork/exec/wait syscalls wired to it.  [load] materialises a fresh
     CPU for an exec'd program name ([None] = not found, exec returns
-    -1); the default [quantum] is 50 instructions, as for SMP. *)
+    -1); the default [quantum] is 50 instructions, as for SMP.
+    @raise Invalid_argument if [quantum <= 0]. *)
 
-val run_for : t -> budget:int -> Cpu.status
-(** Execute at most [budget] instructions across the table and
-    suspend; pid 1 finishing (or crashing) terminates the machine. *)
-
-val run : ?fuel:int -> t -> Cpu.outcome
-
-val stats : t -> Stats.t
-(** Fresh {!Stats.total} aggregate — live processes plus retired ones.
-    Processes time-multiplex one simulated machine, so cycles add up
-    (contrast {!Stats.concurrent} for SMP harts). *)
-
-val superblock_stats : t -> Stats.superblocks
-
-val cache_stats : t -> int * int
-(** L1D [(hits, misses)] summed over live processes (a reaped child
-    takes its cache counters with it, deterministically). *)
-
-val pid1_cpu : t -> Cpu.t
-(** The primary process's CPU (pid 1 is never reaped).
-    @raise Invalid_argument if it is somehow gone. *)
-
-val finished : t -> Cpu.outcome option
-val live_count : t -> int
+val table : Sched.t -> t option
+(** The process table behind a machine, [None] for any other machine. *)
 
 (** {1 Checkpoint/restore} *)
-
-val quantum : t -> int
 
 (** One process table entry as plain(ish) data; [p_image] is the name
     the process exec'd, [None] while it still runs the main image. *)
@@ -86,7 +58,7 @@ type part = {
   p_pid : int;
   p_parent : int;
   p_image : string option;
-  p_state : state;
+  p_state : Sched.state;
   p_cpu : Cpu.t;
   p_ctx : World.ctx;
   p_pmap : Provenance.t;
@@ -95,23 +67,20 @@ type part = {
 val parts : t -> part list
 (** Every live table entry, in pid order. *)
 
-val round : t -> (int * int) list
-(** The resumable scheduler round as (pid, remaining quantum). *)
-
-val retired : t -> Stats.t
 val next_pid : t -> int
 
 val of_parts :
-  ?quantum:int ->
+  quantum:int ->
   world:World.t ->
   load:(comm:string -> Cpu.t option) ->
   procs:part list ->
   next_pid:int ->
   round:(int * int) list ->
   finished:Cpu.outcome option ->
-  retired:Stats.t ->
+  retired:Shift_machine.Stats.t ->
   unit ->
-  t
-(** Rebuild a table from snapshotted parts (pid 1 first) and wire the
-    world's process syscalls to it.
-    @raise Invalid_argument on malformed parts. *)
+  Sched.t
+(** Rebuild a machine from snapshotted parts and wire the world's
+    process syscalls to it.
+    @raise Invalid_argument unless {!Sched.check} accepts the parts
+    (pid 1 first, pids in order, the round naming known pids). *)

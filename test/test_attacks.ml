@@ -291,24 +291,29 @@ let outcome_of_job = function
   | Ok _ -> Alcotest.fail "an attack request resolved to other work"
   | Error e -> Alcotest.fail e
 
+(* a case's benign and exploit outcome in every backend x mode cell of
+   the catalogue; a cell it refuses for want of one address space reads
+   "refused" *)
+let outcome_grid case =
+  List.concat_map
+    (fun backend ->
+      List.map
+        (fun (label, mode) ->
+          let cell benign =
+            match resolve_attack ~mode ~backend ~benign case with
+            | Error e when Str_exists.contains e "single address space" -> "refused"
+            | job -> outcome_of_job job
+          in
+          (Shift.Backend.to_string backend ^ "/" ^ label, cell true, cell false))
+        [ ("word", Mode.shift_word); ("byte", Mode.shift_byte); ("none", Mode.Uninstrumented) ])
+    [ Shift.Backend.Nat; Shift.Backend.Coproc; Shift.Backend.Off ]
+
 let catalogue_tests =
   [
     (* the registry names handler addresses of the image that runs, so
        the benign dispatch works under every mode and backend, and the
        hijack is stopped wherever taint is tracked *)
     tc "plugin-host registry addresses follow the mode and backend" (fun () ->
-        let cells =
-          List.concat_map
-            (fun backend ->
-              List.map
-                (fun (label, mode) ->
-                  let cell benign =
-                    outcome_of_job (resolve_attack ~mode ~backend ~benign "plugin-host")
-                  in
-                  (Shift.Backend.to_string backend ^ "/" ^ label, cell true, cell false))
-                [ ("word", Mode.shift_word); ("byte", Mode.shift_byte); ("none", Mode.Uninstrumented) ])
-            [ Shift.Backend.Nat; Shift.Backend.Coproc; Shift.Backend.Off ]
-        in
         let expected =
           List.map
             (fun (cell, exploit) -> (cell, "exited(10)", exploit))
@@ -319,7 +324,27 @@ let catalogue_tests =
             ]
         in
         Alcotest.(check (list (triple string string string)))
-          "benign and exploit outcome per backend/mode" expected cells);
+          "benign and exploit outcome per backend/mode" expected (outcome_grid "plugin-host"));
+    (* the tag coprocessor binds one address space: a case that forks is
+       refused under it, with the reason, and runs under every other
+       backend and mode *)
+    tc "multi-process cases are refused under coproc, run elsewhere" (fun () ->
+        List.iter
+          (fun (case, alert) ->
+            let expected =
+              List.map
+                (fun (cell, exploit) ->
+                  (cell, (if exploit = "refused" then exploit else "exited(0)"), exploit))
+                [
+                  ("nat/word", alert); ("nat/byte", alert); ("nat/none", "exited(0)");
+                  ("coproc/word", "refused"); ("coproc/byte", "refused"); ("coproc/none", "refused");
+                  ("none/word", "exited(0)"); ("none/byte", "exited(0)"); ("none/none", "exited(0)");
+                ]
+            in
+            Alcotest.(check (list (triple string string string)))
+              (case ^ ": benign and exploit outcome per backend/mode")
+              expected (outcome_grid case))
+          [ ("cgi-shell", "[H4]"); ("tar|gzip", "[H2]") ]);
     tc "every case find lists resolves; an unknown name lists them all" (fun () ->
         let listed =
           List.map

@@ -407,8 +407,108 @@ let sliced ~config ~budget image =
   loop ();
   live
 
+(* the exec turn-over under slicing: the child execs an aux image that
+   feeds its tainted argv into the inherited pipe one byte per loop
+   iteration, while the parent drains the pipe and folds the size of
+   every read into its exit code — so the result pins exactly where
+   the scheduler ended each turn, the exec'ing one included *)
+let burner_image =
+  Util.main_returning
+    ~locals:[ array "buf" 64; scalar "n"; scalar "k"; scalar "acc" ]
+    [
+      set "n" (call "sys_getarg" [ i 0; v "buf" ]);
+      set "acc" (i 0);
+      set "k" (i 0);
+      while_ (v "k" <: i 120)
+        [
+          set "acc" (v "acc" +: v "k");
+          (* the write end is fd 4: the pipe was the first thing the
+             parent opened *)
+          Ir.Expr (call "sys_write" [ i 4; v "buf" +: (v "k" %: v "n"); i 1 ]);
+          set "k" (v "k" +: i 1);
+        ];
+      ret (call "sys_taint_chk" [ v "buf"; v "n" ]);
+    ]
+
+let busy_exec =
+  Util.main_returning
+    ~locals:
+      [ array "fds" 16; scalar "pid"; scalar "fd"; array "buf" 16; scalar "k";
+        array "got" 64; scalar "n"; scalar "sizes"; scalar "st" ]
+    [
+      Ir.Expr (call "sys_pipe" [ v "fds" ]);
+      set "fd" (call "sys_open" [ str "evil" ]);
+      Ir.Expr (call "sys_read" [ v "fd"; v "buf"; i 3 ]);
+      set "pid" (call "sys_fork" []);
+      when_ (v "pid" ==: i 0)
+        [
+          Ir.Expr (call "sys_close" [ load64 (v "fds") ]);
+          set "k" (i 0);
+          while_ (v "k" <: i 200) [ set "k" (v "k" +: i 1) ];
+          Ir.Expr (call "sys_exec" [ str "burner"; v "buf" ]);
+          ret (i 127);
+        ];
+      Ir.Expr (call "sys_close" [ load64 (v "fds" +: i 8) ]);
+      set "sizes" (i 0);
+      set "n" (call "sys_read" [ load64 (v "fds"); v "got"; i 64 ]);
+      while_ (v "n" >: i 0)
+        [
+          set "sizes" (((v "sizes" *: i 7) +: v "n") %: i 1_000_003);
+          set "n" (call "sys_read" [ load64 (v "fds"); v "got"; i 64 ]);
+        ];
+      set "st" (call "sys_wait" [ v "pid" ]);
+      ret ((v "sizes" *: i 10) +: v "st");
+    ]
+
+let exec_config () =
+  procs_config
+    ~setup:(fun w -> World.add_file w ~tainted:true "evil" "abc")
+    ~images:[ ("burner", Shift.Session.build ~mode:Mode.shift_word burner_image) ]
+    ~comm:"parent" ()
+
+let execed (s : Shift.Snapshot.t) =
+  match s.Shift.Snapshot.machine with
+  | Shift.Snapshot.M_procs { pm_procs; _ } ->
+      List.exists (fun p -> p.Shift.Snapshot.ps_image <> None) pm_procs
+  | _ -> false
+
+(* slice until a process has exec'd, checkpoint, serialise, parse
+   back, restore *)
+let restored_after_exec ~config ~budget image =
+  let live = Shift.Session.start ~config image in
+  let rec go () =
+    (match Shift.Session.advance live ~budget with
+    | `Yielded -> ()
+    | `Finished _ -> Alcotest.fail "run finished before the exec");
+    let snap = Shift.Session.checkpoint live in
+    if execed snap then snap else go ()
+  in
+  let text = Shift.Results.to_string (Shift.Snapshot.to_json (go ())) in
+  match Result.bind (Shift.Results.of_string text) Shift.Snapshot.of_json with
+  | Error e -> Alcotest.failf "snapshot did not round-trip: %s" e
+  | Ok snap -> Shift.Session.restore snap
+
 let determinism_tests =
   [
+    tc "an exec'd image's report is byte-identical however the run is sliced"
+      (fun () ->
+        let image = Shift.Session.build ~mode:Mode.shift_word busy_exec in
+        let config = exec_config () in
+        let straight = sliced ~config ~budget:max_int image in
+        let want = report_json (Shift.Session.report straight) in
+        Util.check_i64 "burner saw 3 tainted argv bytes" 3L
+          (Int64.rem (Util.exit_code (Shift.Session.report straight)) 10L);
+        List.iter
+          (fun budget ->
+            Util.check_string
+              (Printf.sprintf "budget %d" budget)
+              want
+              (report_json (Shift.Session.report (sliced ~config ~budget image))))
+          [ 97; 13 ];
+        let resumed = restored_after_exec ~config ~budget:13 image in
+        finish resumed;
+        Util.check_string "restored after the exec" want
+          (report_json (Shift.Session.report resumed)));
     tc "reports are byte-identical however the run is sliced" (fun () ->
         let image = Shift.Session.build ~mode:Mode.shift_word busy_pipeline in
         let straight = sliced ~config:(pipeline_config ()) ~budget:max_int image in
@@ -434,6 +534,21 @@ let determinism_tests =
         match Shift.Session.start ~config image with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    tc "a non-positive quantum is refused at start" (fun () ->
+        let image = Shift.Session.build ~mode:Mode.shift_word busy_pipeline in
+        List.iter
+          (fun threading ->
+            match
+              Shift.Session.start ~config:(Shift.Session.Config.make ~threading ()) image
+            with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail "expected Invalid_argument")
+          Shift.Session.Config.
+            [
+              Threads { quantum = Some 0 };
+              Threads { quantum = Some (-1) };
+              Processes { quantum = Some 0; comm = None };
+            ]);
   ]
 
 (* drive a fresh session [yields] slices of [budget], checkpoint,

@@ -253,8 +253,61 @@ let wrong_sizes =
      cache_of (with_field "lines" (cut 3)));
   ]
 
+let machine_of f = with_field "machine" f
+let list_of f = function
+  | Shift.Results.List l -> Shift.Results.List (f l)
+  | _ -> Alcotest.fail "expected a list"
+
+let first_of f = list_of (function e :: rest -> f e :: rest | [] -> Alcotest.fail "empty list")
+let last_twice l = l @ [ List.nth l (List.length l - 1) ]
+let short_page = Shift.Results.String "00"
+
+(* schedules the round robin cannot run, pages restore cannot load, and
+   quanta that would never run an instruction: each was an exception in
+   [Session.restore] (or a silent timeout) before decoding refused it *)
+let bad_machines =
+  Shift.Results.
+    [
+      ("an empty process table", "machine: procs", procs_exec,
+       machine_of (set "procs" (List [])));
+      ("an SMP machine without harts", "machine: harts", smp_threads,
+       machine_of (set "harts" (List [])));
+      ("a round naming an unknown pid", "machine: round", procs_exec,
+       machine_of (set "round" (List [ List [ Int 99; Int 1 ] ])));
+      ("a round naming an unknown hart", "machine: round", smp_threads,
+       machine_of (set "round" (List [ List [ Int 99; Int 1 ] ])));
+      ("a round entry with no instructions left", "machine: round", smp_threads,
+       machine_of (set "round" (List [ List [ Int 0; Int 0 ] ])));
+      ("a table whose first entry is not pid 1", "machine: procs", procs_exec,
+       machine_of (with_field "procs" (list_of List.tl)));
+      ("a machine whose first hart is not hart 0", "machine: harts", smp_threads,
+       machine_of (with_field "harts" (list_of List.rev)));
+      ("a pid on the table twice", "machine: procs", procs_exec,
+       machine_of (with_field "procs" (list_of last_twice)));
+      ("a next_pid already in use", "machine: next_pid", procs_exec,
+       machine_of (set "next_pid" (Int 1)));
+      ("a process quantum of 0", "machine: quantum", procs_exec,
+       machine_of (set "quantum" (Int 0)));
+      ("an SMP quantum of -3", "machine: quantum", smp_threads,
+       machine_of (set "quantum" (Int (-3))));
+      ("a configured quantum of 0", "config: threading: quantum", smp_threads,
+       with_field "config" (with_field "threading" (set "quantum" (Int 0))));
+      ("a memory page of 1 byte", "memory: data", single_word,
+       with_field "memory" (first_of (set "data" short_page)));
+      ("a process memory page of 1 byte", "machine: procs: memory: data", procs_exec,
+       machine_of
+         (with_field "procs" (first_of (with_field "memory" (first_of (set "data" short_page))))));
+      ("a provenance page of 1 byte", "flow: provenance_pages: data", byte_traced,
+       with_field "flow" (with_field "provenance_pages" (first_of (set "data" short_page))));
+    ]
+
 let hostile_tests =
   List.map
+    (fun (what, path, make, edit) ->
+      tc (what ^ " is an Error") (fun () ->
+          rejects_at path (edit (Shift.Snapshot.to_json (make ())))))
+    bad_machines
+  @ List.map
     (fun (what, path, edit) ->
       tc (what ^ " is an Error") (fun () ->
           rejects_at path (edit (Shift.Snapshot.to_json (single_word ())))))
@@ -402,6 +455,8 @@ module Config = Shift.Session.Config
 let gen_config aux =
   let open QCheck.Gen in
   let small = int_range 0 1000 and opt g = option ~ratio:0.5 g in
+  (* decoding refuses a non-positive quantum *)
+  let quantum = int_range 1 1000 in
   let* taint_network = bool and* taint_files = bool and* h1 = bool
   and* h2 = opt (oneofl [ "www"; "/srv/root" ]) and* h3 = bool and* h4 = bool
   and* h5 = bool and* low_level = bool
@@ -415,10 +470,10 @@ let gen_config aux =
     oneof
       [
         return Config.Single;
-        map (fun quantum -> Config.Threads { quantum }) (opt small);
+        map (fun quantum -> Config.Threads { quantum }) (opt quantum);
         map2
           (fun quantum comm -> Config.Processes { quantum; comm })
-          (opt small) (opt (oneofl [ "main"; "init" ]));
+          (opt quantum) (opt (oneofl [ "main"; "init" ]));
       ]
   and* trace =
     opt
