@@ -5,20 +5,27 @@ type t = {
   mode : Mode.t;
   func_sizes : (string * int) list;
   code : Shift_machine.Cpu.code option Atomic.t;
+  payload : string option Atomic.t;
 }
 
 let make ~program ~data ~symbols ~mode ~func_sizes =
-  { program; data; symbols; mode; func_sizes; code = Atomic.make None }
+  { program; data; symbols; mode; func_sizes; code = Atomic.make None;
+    payload = Atomic.make None }
 
-(* Built by the first session to start, then shared; two domains racing
-   here may both decode, and the first to publish wins. *)
-let code t =
-  match Atomic.get t.code with
-  | Some c -> c
+(* A derived field is built by its first user, then shared; two domains
+   racing here may both build it, and the first to publish wins. *)
+let once cell build =
+  match Atomic.get cell with
+  | Some v -> v
   | None ->
-      let c = Shift_machine.Cpu.code_of_program t.program in
-      if Atomic.compare_and_set t.code None (Some c) then c
-      else Option.get (Atomic.get t.code)
+      let v = build () in
+      if Atomic.compare_and_set cell None (Some v) then v else Option.get (Atomic.get cell)
+
+let code t = once t.code (fun () -> Shift_machine.Cpu.code_of_program t.program)
+
+let payload t =
+  once t.payload (fun () ->
+      Marshal.to_string (t.program, t.data, t.symbols, t.mode, t.func_sizes) [])
 
 let code_size t = Shift_isa.Program.size t.program
 

@@ -13,6 +13,9 @@ type t = {
           built by {!val-code} on first use.  Not part of the image's
           content — snapshots never write it, and a decoded image starts
           with none. *)
+  payload : string option Atomic.t;
+      (** derived: the content marshalled, built by {!val-payload} on
+          first use.  Never written; a decoded image starts with none. *)
 }
 
 val make :
@@ -22,12 +25,17 @@ val make :
   mode:Mode.t ->
   func_sizes:(string * int) list ->
   t
-(** An image with no code built yet. *)
+(** An image with no code or payload built yet. *)
 
 val code : t -> Shift_machine.Cpu.code
 (** The image's code, built once and shared by every machine that runs
     the image, from any domain.  It lives as long as the image or a
     machine running it. *)
+
+val payload : t -> string
+(** The five content fields, in declaration order, marshalled: what a
+    snapshot embeds.  Built once, shared by every snapshot of the image
+    from any domain, and kept as long as the image. *)
 
 val code_size : t -> int
 (** Total static instructions. *)

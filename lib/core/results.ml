@@ -108,13 +108,12 @@ let rec add_spaces b n =
     add_spaces b (n - k)
   end
 
+let add_newline b indent =
+  Buffer.add_char b '\n';
+  add_spaces b indent
+
 let to_buffer ?(minify = false) b j =
-  let nl indent =
-    if not minify then begin
-      Buffer.add_char b '\n';
-      add_spaces b indent
-    end
-  in
+  let nl indent = if not minify then add_newline b indent in
   let rec go indent = function
     | Null -> Buffer.add_string b "null"
     | Bool v -> Buffer.add_string b (if v then "true" else "false")

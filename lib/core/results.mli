@@ -50,9 +50,9 @@ val to_buffer : ?minify:bool -> Buffer.t -> json -> unit
 
 (** {1 Direct writing}
 
-    The two primitives {!to_buffer} prints with, for writers that emit
-    many lines of one fixed shape (the JSONL exports of {!Flow} and
-    {!Leak}) without building a [json] tree per line. *)
+    The primitives {!to_buffer} prints with, for writers that emit JSONL
+    lines ({!Flow}, {!Leak}) or a whole document ({!Snapshot}) without
+    building a [json] tree. *)
 
 val add_escaped : Buffer.t -> string -> unit
 (** [add_escaped b s] appends [s] as a JSON string literal: quoted,
@@ -62,6 +62,10 @@ val add_escaped : Buffer.t -> string -> unit
 val add_int : Buffer.t -> int -> unit
 (** [add_int b n] appends the bytes of [string_of_int n] without
     allocating them (except for [min_int]). *)
+
+val add_newline : Buffer.t -> int -> unit
+(** A newline and [indent] spaces: {!to_buffer}'s break before each
+    element of a list or object and before its closing bracket. *)
 
 val of_string : string -> (json, string) result
 (** Parse a complete JSON text.  Accepts exactly the constructs

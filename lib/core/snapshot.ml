@@ -214,39 +214,61 @@ let capture ?(meta = []) ?tracking ~image ~(config : Config.t) ~fuel_left ~resul
 (* ---------- JSON serialisation ----------
 
    Every component is declared once, as a bidirectional codec from which
-   both the encoder and the decoder are derived: a record lists each
+   both the writer and the decoder are derived: a record lists each
    field's name, codec and getter in emission order; a variant names
    its cases, each writing its tag first and its payload fields inline. *)
 
 module Codec = struct
   type json = Results.json
-  type 'a t = { enc : 'a -> json; dec : json -> 'a }
+
+  (* [enc b indent v] appends the bytes [Results.to_buffer] prints for
+     [v]'s tree at nesting [indent], without building the tree *)
+  type 'a t = { enc : Buffer.t -> int -> 'a -> unit; dec : json -> 'a }
 
   exception Bad of string
 
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+  (* [entry] starts an element of a list or object: the opening bracket
+     before the first, a comma before the others, then the element's
+     line; [close] ends it, or writes the whole of an empty one; a
+     [member] is an object's element. *)
+  let entry b indent first opening =
+    Buffer.add_char b (if first then opening else ',');
+    Results.add_newline b (indent + 2)
+
+  let close b indent ~empty opening closing =
+    if empty then Buffer.add_char b opening else Results.add_newline b indent;
+    Buffer.add_char b closing
+
+  let member b indent first name c v =
+    entry b indent first '{';
+    Results.add_escaped b name;
+    Buffer.add_string b ": ";
+    c.enc b (indent + 2) v
+
   (* ---- primitives ---- *)
 
   let int =
-    { enc = (fun n -> Results.Int n);
+    { enc = (fun b _ n -> Results.add_int b n);
       dec = (function Results.Int n -> n | _ -> bad "expected an integer") }
 
   let bool =
-    { enc = (fun b -> Results.Bool b);
+    { enc = (fun b _ v -> Buffer.add_string b (if v then "true" else "false"));
       dec = (function Results.Bool b -> b | _ -> bad "expected a boolean") }
 
   let string =
-    { enc = (fun s -> Results.String s);
+    { enc = (fun b _ s -> Results.add_escaped b s);
       dec = (function Results.String s -> s | _ -> bad "expected a string") }
 
   let conv enc dec c =
-    { enc = (fun v -> c.enc (enc v)); dec = (fun j -> dec (c.dec j)) }
+    { enc = (fun b indent v -> c.enc b indent (enc v));
+      dec = (fun j -> dec (c.dec j)) }
 
   (* int64 values are serialised as decimal strings: [Results.Int] is a
      native OCaml int, which cannot represent the full register range. *)
   let int64 =
-    { enc = (fun v -> Results.String (Int64.to_string v));
+    { enc = (fun b indent v -> string.enc b indent (Int64.to_string v));
       dec =
         (function
         | Results.String s -> (
@@ -267,15 +289,26 @@ module Codec = struct
             | c -> bad "invalid bit %C" c))
       string
 
-  let hex_encode s =
-    let digits = "0123456789abcdef" in
-    let b = Bytes.create (2 * String.length s) in
-    for i = 0 to String.length s - 1 do
-      let c = Char.code (String.unsafe_get s i) in
-      Bytes.unsafe_set b (2 * i) (String.unsafe_get digits (c lsr 4));
-      Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get digits (c land 0xf))
+  (* each byte's two digits, the first in the low byte *)
+  let hex_pairs =
+    let digit n = Char.code "0123456789abcdef".[n] in
+    Array.init 256 (fun c -> digit (c lsr 4) lor (digit (c land 0xf) lsl 8))
+
+  (* [s]'s digits, staged a word per four bytes in a chunk flushed when full *)
+  let add_hex b s =
+    let n = String.length s and chunk = Bytes.create 512 in
+    let pair i = Int64.of_int (Array.unsafe_get hex_pairs (Char.code (String.unsafe_get s i))) in
+    let i = ref 0 and k = ref 0 in
+    while !i + 4 <= n do
+      Bytes.set_int64_le chunk !k
+        Int64.(logor (logor (pair !i) (shift_left (pair (!i + 1)) 16))
+                 (logor (shift_left (pair (!i + 2)) 32) (shift_left (pair (!i + 3)) 48)));
+      i := !i + 4;
+      k := (!k + 8) land 511;
+      if !k = 0 then Buffer.add_bytes b chunk
     done;
-    Bytes.unsafe_to_string b
+    Buffer.add_subbytes b chunk 0 !k;
+    for j = !i to n - 1 do Buffer.add_uint16_le b (Int64.to_int (pair j)) done
 
   let hex_decode s =
     let n = String.length s in
@@ -291,30 +324,22 @@ module Codec = struct
         Char.chr ((v s.[2 * i] lsl 4) lor v s.[(2 * i) + 1]))
 
   (* binary payloads: memory pages, argv and pipe bytes, images *)
-  let hex = conv hex_encode hex_decode string
+  let hex =
+    { enc = (fun b _ s -> Buffer.add_char b '"'; add_hex b s; Buffer.add_char b '"');
+      dec = (fun j -> hex_decode (string.dec j)) }
 
-  (* A marshalled value.  Hostile bytes come back as [Bad]: a short
-     payload fails Marshal's header check with [Invalid_argument], a
-     corrupt one with [Failure]. *)
-  let marshalled what =
-    conv
-      (fun v -> Marshal.to_string v [])
-      (fun s ->
-        try Marshal.from_string s 0
-        with Failure _ | Invalid_argument _ -> bad "corrupt embedded %s" what)
-      hex
-
-  (* An image as its content alone: the five fields in declaration
-     order, which marshal to the bytes the whole record did before it
-     carried derived code.  A decoded image builds its code afresh. *)
+  (* An image as its content alone, marshalled once per image.  Hostile
+     bytes come back as [Bad]: a short payload fails Marshal's header
+     check with [Invalid_argument], a corrupt one with [Failure]. *)
   let image what =
-    conv
-      (fun (i : Image.t) ->
-        (i.Image.program, i.Image.data, i.Image.symbols, i.Image.mode,
-         i.Image.func_sizes))
-      (fun (program, data, symbols, mode, func_sizes) ->
-        Image.make ~program ~data ~symbols ~mode ~func_sizes)
-      (marshalled what)
+    { enc = (fun b indent i -> hex.enc b indent (Image.payload i));
+      dec =
+        (fun j ->
+          let program, data, symbols, mode, func_sizes =
+            try Marshal.from_string (hex.dec j) 0
+            with Failure _ | Invalid_argument _ -> bad "corrupt embedded %s" what
+          in
+          Image.make ~program ~data ~symbols ~mode ~func_sizes) }
 
   (* a closed set of names *)
   let enum what to_string of_string =
@@ -330,37 +355,50 @@ module Codec = struct
 
   (* ---- containers ---- *)
 
+  (* the elements [iter] visits, as a list *)
+  let items iter c b indent xs =
+    let empty = ref true in
+    iter (fun v -> entry b indent !empty '['; empty := false; c.enc b (indent + 2) v) xs;
+    close b indent ~empty:!empty '[' ']'
+
   let list c =
-    { enc = (fun l -> Results.List (List.map c.enc l));
+    { enc = items List.iter c;
       dec =
         (function Results.List l -> List.map c.dec l | _ -> bad "expected a list") }
 
-  let array c = conv Array.to_list Array.of_list (list c)
+  let array c = { (conv Array.to_list Array.of_list (list c)) with enc = items Array.iter c }
 
   (* [None] is [null] *)
   let option c =
-    { enc = (function None -> Results.Null | Some v -> c.enc v);
+    { enc = (fun b i -> function None -> Buffer.add_string b "null" | Some v -> c.enc b i v);
       dec = (function Results.Null -> None | j -> Some (c.dec j)) }
 
   (* a two-element list *)
-  let pair what a b =
-    { enc = (fun (x, y) -> Results.List [ a.enc x; b.enc y ]);
+  let pair what a c =
+    { enc =
+        (fun b indent (x, y) ->
+          entry b indent true '[';
+          a.enc b (indent + 2) x;
+          entry b indent false '[';
+          c.enc b (indent + 2) y;
+          close b indent ~empty:false '[' ']');
       dec =
         (function
-        | Results.List [ x; y ] -> (a.dec x, b.dec y)
+        | Results.List [ x; y ] -> (a.dec x, c.dec y)
         | _ -> bad "malformed %s" what) }
 
   (* an object read as a string-keyed map, in emission order *)
   let assoc c =
-    { enc = (fun kvs -> Results.Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs));
+    { enc =
+        (fun b indent kvs ->
+          List.iteri (fun i (k, v) -> member b indent (i = 0) k c v) kvs;
+          close b indent ~empty:(kvs = []) '{' '}');
       dec =
         (function
         | Results.Obj kvs -> List.map (fun (k, v) -> (k, c.dec v)) kvs
         | _ -> bad "expected an object") }
 
   (* ---- fields ---- *)
-
-  type fields = (string * json) list
 
   (* a decoding error names the path of fields it occurred under *)
   let get ?default name c j =
@@ -373,14 +411,14 @@ module Codec = struct
 
      [record cons |+ field ... |+ field ... |> seal]: fields are written
      in declaration order and decoded into [cons]'s arguments in that
-     same order.  [emit r rest] puts a field's entry in front of the
-     entries of the fields after it. *)
+     same order.  [emit b indent r first] writes a field's member ([first]
+     when none precedes it) and says whether the object is still empty. *)
 
-  type ('r, 'a) field = { emit : 'r -> fields -> fields; take : json -> 'a }
+  type ('r, 'a) field = { emit : Buffer.t -> int -> 'r -> bool -> bool; take : json -> 'a }
 
   (* always written; [default] is what an absent field decodes to *)
   let field ?default name c getter =
-    { emit = (fun r rest -> (name, c.enc (getter r)) :: rest);
+    { emit = (fun b indent r first -> member b indent first name c (getter r); false);
       take = get ?default name c }
 
   (* The omission rule: a field holding its default is left out, and an
@@ -390,19 +428,20 @@ module Codec = struct
   let opt name c ~default getter =
     let f = field ~default name c getter in
     { f with
-      emit = (fun r rest -> if getter r = default then rest else f.emit r rest) }
+      emit = (fun b i r first -> if getter r = default then first else f.emit b i r first) }
 
-  let record cons = { emit = (fun _ rest -> rest); take = (fun _ -> cons) }
+  let record cons = { emit = (fun _ _ _ first -> first); take = (fun _ -> cons) }
 
   let ( |+ ) fs f =
-    { emit = (fun r rest -> fs.emit r (f.emit r rest));
+    { emit = (fun b indent r first -> f.emit b indent r (fs.emit b indent r first));
       take =
         (fun j ->
           let k = fs.take j in
           k (f.take j)) }
 
   let seal fs =
-    { enc = (fun r -> Results.Obj (fs.emit r [])); dec = fs.take }
+    { enc = (fun b indent r -> close b indent ~empty:(fs.emit b indent r true) '{' '}');
+      dec = fs.take }
 
   (* objects of two or three named fields, read as tuples *)
   let obj2 (n1, c1) (n2, c2) =
@@ -435,6 +474,7 @@ module Codec = struct
   end
 
   type 'p case = { tag : string; args : 'p Args.t }
+  type put = Put : 'p case * 'p Vals.t -> put
 
   let case tag args = { tag; args }
 
@@ -446,20 +486,24 @@ module Codec = struct
         let v = get name c j in
         Vals.(v :: read rest j)
 
-  let rec write : type p. p Args.t -> p Vals.t -> fields =
-   fun args vals ->
+  let rec write : type p. Buffer.t -> int -> p Args.t -> p Vals.t -> unit =
+   fun b indent args vals ->
     match (args, vals) with
-    | Args.[], Vals.[] -> []
-    | Args.((name, c) :: rest), Vals.(v :: vs) -> (name, c.enc v) :: write rest vs
+    | Args.[], Vals.[] -> ()
+    | Args.((name, c) :: rest), Vals.(v :: vs) ->
+        member b indent false name c v;
+        write b indent rest vs
 
   let ( => ) c cons = (c.tag, fun j -> cons (read c.args j))
-  let put c vals = (c.tag, write c.args vals)
+  let put c vals = Put (c, vals)
 
   let variant key readers writer =
     { enc =
-        (fun v ->
-          let tag, fields = writer v in
-          Results.Obj ((key, Results.String tag) :: fields));
+        (fun b indent v ->
+          let (Put (c, vals)) = writer v in
+          member b indent true key string c.tag;
+          write b indent c.args vals;
+          close b indent ~empty:false '{' '}');
       dec =
         (fun j ->
           let tag = get key string j in
@@ -1115,7 +1159,19 @@ let snapshot =
   |+ opt "tracking" (option tracking) ~default:None (fun t -> t.tracking)
   |> seal
 
-let to_json t = snapshot.enc t
+(* per domain, cleared per snapshot: it keeps its largest one's capacity *)
+let out = Domain.DLS.new_key (fun () -> Buffer.create 65536)
+
+let encode t =
+  let b = Domain.DLS.get out in
+  Buffer.clear b;
+  snapshot.enc b 0 t;
+  b
+
+let to_string t = Buffer.contents (encode t)
+
+(* the writer's bytes always parse: the tree prints back to them *)
+let to_json t = Result.get_ok (Results.of_string (to_string t))
 
 (* a file that is not a snapshot at all is told so before anything else *)
 let of_json j =
@@ -1125,16 +1181,16 @@ let of_json j =
   | _ -> Error "not a shift snapshot"
 
 let save path t =
+  let b = encode t in
+  Buffer.add_char b '\n';
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let b = Buffer.create 1024 in
-      Results.to_buffer b (to_json t);
-      Buffer.add_char b '\n';
-      Buffer.output_buffer oc b);
-  Sys.rename tmp path
+  try
+    Out_channel.with_open_bin tmp (fun oc -> Buffer.output_buffer oc b);
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let load path =
   match

@@ -15,15 +15,16 @@
     report field is byte-identical to the unbroken run, across single
     hart, SMP and traced shapes.
 
-    The on-disk format is versioned JSON ({!Results.json}).  Memory
-    pages, syscall argument and pipe bytes and the marshalled images
-    are hex-encoded; guest file contents ([world.files[].content] and
-    [world.objs[].state.content]) are written as JSON strings, with
-    bytes [>= 0x80] left raw, so a snapshot of a session whose files
-    hold such bytes is not valid UTF-8 JSON: {!Results.of_string} reads
-    it back, a strict UTF-8 parser does not.
+    The on-disk format is versioned JSON in {!Results.to_string}'s
+    layout, written with no {!Results.json} tree.  Memory pages, syscall
+    argument and pipe bytes and the marshalled images (each image's
+    {!Shift_compiler.Image.payload}) are hex-encoded; guest file contents
+    ([world.files[].content] and [world.objs[].state.content]) are JSON
+    strings, with bytes [>= 0x80] left raw, so a snapshot of a session
+    whose files hold such bytes is not valid UTF-8 JSON:
+    {!Results.of_string} reads it back, a strict UTF-8 parser does not.
     Each component is declared once, as a bidirectional codec from
-    which both the encoder and the decoder are derived: records write
+    which both the writer and the decoder are derived: records write
     their fields in declaration order, variants write their tag first
     and their payload fields inline.  The omission rule: a field added
     after the format was in use is left out while it holds its default
@@ -166,9 +167,14 @@ val load_provenance : Shift_mem.Provenance.t -> (int64 * string) list -> unit
 
 (** {1 Serialisation} *)
 
+val to_string : t -> string
+(** The snapshot's text, written straight from the codecs into the
+    calling domain's buffer (so two threads of one domain must not
+    encode at once).  Deterministic: field order is fixed, pages and
+    hashtable-backed state are sorted. *)
+
 val to_json : t -> Results.json
-(** Deterministic: field order is fixed, pages are sorted by key,
-    hashtable-backed state is sorted before emission. *)
+(** The parse of {!to_string}, which {!Results.to_string} prints back. *)
 
 val of_json : Results.json -> (t, string) result
 (** Never raises on malformed input: wrong kinds or versions, missing
@@ -181,8 +187,8 @@ val of_json : Results.json -> (t, string) result
     all come back as [Error], with the message naming the field path. *)
 
 val save : string -> t -> unit
-(** Write [to_json] (pretty-printed) to a file, atomically (write to a
-    temporary sibling, then rename). *)
+(** Write {!to_string} and a newline, encoded in full first, to a temporary
+    sibling renamed over the path; a failure removes it and re-raises. *)
 
 val load : string -> (t, string) result
 (** Read and parse a snapshot file. *)

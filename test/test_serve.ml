@@ -388,6 +388,42 @@ let scheduler_tests =
         Util.check_bool "dir created" true (Sys.file_exists dir);
         Util.check_int "spill reaped on completion" 0
           (Array.length (Sys.readdir dir)));
+    tc "a spill copied mid-run resumes to the solo report" (fun () ->
+        let dir = Filename.temp_file "serve-ckpt" "" in
+        Sys.remove dir;
+        let spill = Filename.concat dir "job-000001.snap.json" in
+        let copy = Filename.temp_file "serve-spill" ".json" in
+        (* the third slice runs after two parks, each of which spilled *)
+        let slices = ref 0 and copied = ref false in
+        let on_slice _ =
+          incr slices;
+          if !slices = 3 then begin
+            Out_channel.with_open_bin copy (fun oc ->
+                output_string oc (In_channel.with_open_bin spill In_channel.input_all));
+            copied := true
+          end
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.remove copy;
+            try Sys.rmdir dir with Sys_error _ -> ())
+          (fun () ->
+            let sched =
+              Sched.create ~workers:1 ~slice:5000 ~checkpoint_dir:dir ~on_slice ()
+            in
+            Sched.submit sched ~migrate_every:1 ~id:"g" (kernel_job "gzip");
+            Sched.drain sched;
+            Sched.shutdown sched;
+            Util.check_bool "spill copied in a later slice" true !copied;
+            match Shift.Snapshot.load copy with
+            | Error e -> Alcotest.failf "the copied spill did not load: %s" e
+            | Ok snap -> (
+                let live = Shift.Session.restore snap in
+                match Shift.Session.advance live ~budget:max_int with
+                | `Yielded -> Alcotest.fail "a maximal slice yielded"
+                | `Finished _ ->
+                    Util.check_string "resumed spill = solo" (solo_json "gzip")
+                      (report_json (Shift.Session.report live)))));
   ]
 
 (* ---------- the server, end to end over a real socket ---------- *)

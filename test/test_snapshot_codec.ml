@@ -13,7 +13,7 @@ module Case = Shift_attacks.Attack_case
 let tc = Util.tc
 let fuel = 100_000_000
 
-let encode s = Shift.Results.to_string (Shift.Snapshot.to_json s)
+let encode = Shift.Snapshot.to_string
 
 let decode text =
   match Shift.Results.of_string text with
@@ -128,7 +128,7 @@ let with_field name f = function
         (List.map (fun (k, v) -> if k = name then (k, f v) else (k, v)) kvs)
   | j -> j
 
-(* Digests of [Results.to_string (Snapshot.to_json s)], embedded images
+(* Digests of [Snapshot.to_string s], embedded images
    included (string literals are numbered per compile, so an image's
    bytes do not depend on what the process compiled before it).  A
    change here means the on-disk format moved: every saved checkpoint,
@@ -159,12 +159,20 @@ let shapes =
       "d7790eba13f019861f453a29f2ee70f0" );
   ]
 
+(* the writer's bytes are exactly what [Results] prints for their own
+   parse: the layout, not only the content, is pinned *)
+let layout_of what text =
+  match Shift.Results.of_string text with
+  | Error e -> Alcotest.failf "%s: not JSON: %s" what e
+  | Ok j -> Util.check_string (what ^ ": printed parse") text (Shift.Results.to_string j)
+
 let bytes_tests =
   List.map
     (fun (name, make, digest) ->
       tc name (fun () ->
           let s = make () in
           let text = encode s in
+          layout_of name text;
           Util.check_string "pinned snapshot digest" digest
             (Digest.to_hex (Digest.string text));
           match decode text with
@@ -189,6 +197,27 @@ let save_tests =
                 (Shift.Results.to_string (Shift.Snapshot.to_json s) ^ "\n")
                 (In_channel.with_open_bin path In_channel.input_all))))
     shapes
+
+(* a save that fails leaves neither the file nor its temporary sibling *)
+let failed_save_tests =
+  [
+    tc "a failed save removes its temporary file" (fun () ->
+        let dir = Filename.temp_file "shift-snap" ".dir" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        let inner = Filename.concat dir "occupied" in
+        Out_channel.with_open_bin inner ignore;
+        Fun.protect
+          ~finally:(fun () ->
+            Sys.remove inner;
+            Sys.rmdir dir)
+          (fun () ->
+            (match Shift.Snapshot.save dir (single_word ()) with
+            | () -> Alcotest.fail "saved over a non-empty directory"
+            | exception Sys_error _ -> ());
+            Util.check_bool "temporary file removed" false
+              (Sys.file_exists (dir ^ ".tmp"))));
+  ]
 
 (* ---------- hostile input ---------- *)
 
@@ -531,7 +560,9 @@ let config_round_trip =
     (QCheck.make (QCheck.Gen.delay (fun () -> gen_config (snd (Lazy.force base)))))
     (fun config ->
       let s = { (fst (Lazy.force base)) with Shift.Snapshot.config } in
-      match Shift.Snapshot.of_json (Shift.Snapshot.to_json s) with
+      let text = encode s in
+      layout_of "config" text;
+      match decode text with
       | Error e -> QCheck.Test.fail_reportf "did not decode: %s" e
       | Ok s' ->
           List.iter2
@@ -544,7 +575,7 @@ let config_round_trip =
 let suites =
   [
     ("snapshot.bytes", bytes_tests);
-    ("snapshot.save", save_tests);
+    ("snapshot.save", save_tests @ failed_save_tests);
     ("snapshot.hostile", hostile_tests);
     ("snapshot.config", [ QCheck_alcotest.to_alcotest config_round_trip ]);
   ]
