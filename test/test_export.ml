@@ -1,4 +1,5 @@
-(* The bytes of the two observation exports, pinned.
+(* The bytes of the two observation exports, and of the leak
+   detector's verdict, pinned.
 
    [Flow.jsonl] and the hardware-trace JSONL that [shiftc leak
    --trace-out] writes are compared by [cmp] in CI, but only against a
@@ -133,6 +134,56 @@ let leak_tests =
       ("aes-table", "0fd4b2c9ef454eeaeb0c909f8e6474d9", "1a7e3315f9fafec4");
       ("aes-ct", "5e7831b3695005c04bd5dac5a81f0857", "da89a909fc1bb37f");
     ]
+
+(* The verdict JSON [shiftc leak --json] prints, over the grid the
+   detector's output depends on: both cases, 2/4/8 variants, word and
+   byte granularity, both clauses under the nat backend, and one cell
+   per case under coproc.  A detector that runs its variants differently
+   must still reach these bytes. *)
+let verdict_tests =
+  let cell ?(backend = Shift_tracking.Backend.Nat) name mode clause count md5_pin =
+    tc
+      (Printf.sprintf "%s %s %s %d %s" name (Mode.to_string mode)
+         (Shift.Leak.clause_to_string clause) count
+         (Shift_tracking.Backend.to_string backend))
+      (fun () ->
+        match Catalog.leak_start ~backend ~mode name with
+        | Error e -> Alcotest.fail e
+        | Ok start ->
+            let v = Shift.Leak.detect ~clause ~count ~start () in
+            Util.check_string "verdict digest" md5_pin
+              (md5 (Shift.Results.to_string (Shift.Leak.verdict_to_json v))))
+  in
+  let w = Mode.shift_word and b = Mode.shift_byte in
+  let seq = Shift.Leak.Ct_seq and none = Shift.Leak.Ct_none in
+  [
+    cell "aes-table" w seq 2 "da67a9301cf4b0d6c70be60a9a293f44";
+    cell "aes-table" w seq 4 "4e007f4995002f73400622a91b93cbed";
+    cell "aes-table" w seq 8 "601d97cd0d403d895f7c092c11c2ce7c";
+    cell "aes-table" w none 2 "262b844e7f68b603b1d50770b65b9c95";
+    cell "aes-table" w none 4 "4d16d941de45857d19cc177ac07f0bba";
+    cell "aes-table" w none 8 "13ec47b197b2e9efe8841fc8f86e8110";
+    cell "aes-table" b seq 2 "93ec509f85f733a56440f855741382e3";
+    cell "aes-table" b seq 4 "b376267fcaaac502683e3f67d2038eb4";
+    cell "aes-table" b seq 8 "99bb3a0a03bbccd8200f654873ef6943";
+    cell "aes-table" b none 2 "262b844e7f68b603b1d50770b65b9c95";
+    cell "aes-table" b none 4 "4d16d941de45857d19cc177ac07f0bba";
+    cell "aes-table" b none 8 "13ec47b197b2e9efe8841fc8f86e8110";
+    cell "aes-ct" w seq 2 "27d6ce70266396895762fa1bedfae231";
+    cell "aes-ct" w seq 4 "9b39f72718f37fb4c6449978eff30213";
+    cell "aes-ct" w seq 8 "f408ccffc4bd71e46e91442c79e05dfb";
+    cell "aes-ct" w none 2 "262b844e7f68b603b1d50770b65b9c95";
+    cell "aes-ct" w none 4 "4d16d941de45857d19cc177ac07f0bba";
+    cell "aes-ct" w none 8 "13ec47b197b2e9efe8841fc8f86e8110";
+    cell "aes-ct" b seq 2 "928e8035517129c720f09be5ee1b1838";
+    cell "aes-ct" b seq 4 "eaa09e54cbfb7f875ffa10277edd9613";
+    cell "aes-ct" b seq 8 "0b2549f6a646ce5cd2b0bc9142d9d624";
+    cell "aes-ct" b none 2 "262b844e7f68b603b1d50770b65b9c95";
+    cell "aes-ct" b none 4 "4d16d941de45857d19cc177ac07f0bba";
+    cell "aes-ct" b none 8 "13ec47b197b2e9efe8841fc8f86e8110";
+    cell ~backend:Shift_tracking.Backend.Coproc "aes-table" w seq 4 "eaa5699449f377acd807aeb77bedee4d";
+    cell ~backend:Shift_tracking.Backend.Coproc "aes-ct" w seq 4 "3060a96e092314b72bb8db2d9fec10ac";
+  ]
 
 (* ---------- the direct writer against the tree encoder ---------- *)
 
@@ -289,4 +340,5 @@ let suites =
     ("export.flow-cases", case_tests);
     ("export.flow-ring", ring_tests);
     ("export.leak-trace", leak_tests);
+    ("export.leak-verdict", verdict_tests);
   ]
