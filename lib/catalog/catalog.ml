@@ -62,10 +62,11 @@ let case_job ?trace ~benign ~mode ~superblocks ~backend (c : Case.t) =
             (fun () -> Case.image ~backend ~mode c)))
 
 (* the leak detector's variant starter: the attack-case config with the
-   hardware trace on and flow tracing enabled (so a divergence can name
-   the tainted bytes steering it), under variant [i]'s input.  Every
-   variant starts from the case's cached image, as does every later
-   detection on the same case, mode and backend. *)
+   hardware trace on and flow tracing enabled (so the re-run of a
+   diverging pair can name the tainted bytes steering it), under
+   variant [i]'s input.  Every variant starts from the case's cached
+   image, as does every later detection on the same case, mode and
+   backend. *)
 let leak_start ?(superblocks = true) ?(backend = Shift_tracking.Backend.Nat)
     ~mode name =
   let* c = find_case ~backend ~mode name in

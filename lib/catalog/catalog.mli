@@ -21,7 +21,10 @@ val leak_start :
   (int -> Shift.Session.live, string) result
 (** The variant starter {!Shift.Leak.detect} consumes, for a named
     side-channel case: [start i] begins a flow-traced, hardware-traced
-    session under variant [i]'s input.  Every variant starts from the
+    session under variant [i]'s input.  The detector switches Flowtrace
+    off for its observation pass and reads it only when it re-runs a
+    diverging pair; [shiftc leak --trace-out] exports [start 0] as
+    configured, with its [tainted_by] marks.  Every variant starts from the
     case's cached image ({!Shift_attacks.Attack_case.image}), shared with
     every other detection and run of the case under the same mode and
     backend.  [Error] if the name is unknown or the case carries no

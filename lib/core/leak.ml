@@ -15,7 +15,16 @@
    ones, by construction of the variant setups.  The diverging access
    is then named precisely: its pc, the two set indexes, and (via the
    Flowtrace id its address register carried) the tainted input bytes
-   that steered it. *)
+   that steered it.
+
+   Deciding and explaining are two passes.  The observation pass runs
+   every variant with Flowtrace off: the baseline records its hardware
+   trace, and each later variant only follows it ({!Hw.follow}),
+   keeping a count and its first mismatch.  Only a variant that
+   diverges is explained: the baseline and that variant are re-run from
+   the same starter, traced as configured, and their full traces are
+   compared access by access.  Determinism makes the re-run diverge
+   exactly where the observation did. *)
 
 module Hw = Shift_machine.Hwtrace
 module Ft = Shift_machine.Flowtrace
@@ -65,6 +74,17 @@ let hwtrace_of live =
   | None ->
       invalid_arg "Leak.detect: the variant session has no hardware trace"
 
+(* the observation pass: Flowtrace off from the first instruction, and
+   the hardware trace recorded (baseline) or following the baseline's *)
+let observe ?reference start i =
+  let untraced i =
+    let live = start i in
+    Option.iter (fun ft -> ft.Ft.enabled <- false) (Session.flowtrace live);
+    Option.iter (fun reference -> Hw.follow (hwtrace_of live) ~reference) reference;
+    live
+  in
+  hwtrace_of (run_variant untraced i)
+
 (* Resolve the Flowtrace id an access's address register carried into
    human-readable input-byte provenance.  Ids are interned per session,
    so each side resolves against its own trace; the rendered hops are
@@ -85,60 +105,73 @@ let address_provenance live id =
 
 (* ---------- comparing observations ---------- *)
 
-(* Under ct-seq an observation is the (store, set) sequence; under
-   ct-none it is empty, so nothing ever diverges. *)
-let first_divergence clause ~variant base base_hw live hw =
+(* The first access at which two full traces differ in their ct-seq
+   observation, the (store, set) sequence, or at which one ends. *)
+let first_divergence ~variant base base_hw live hw =
+  let nb = Hw.length base_hw and nv = Hw.length hw in
+  let n = min nb nv in
+  let rec scan i =
+    if i < n then begin
+      if Hw.set base_hw i <> Hw.set hw i || Hw.store base_hw i <> Hw.store hw i then
+        Some
+          {
+            d_variant = variant;
+            d_index = i;
+            d_pc = Hw.pc hw i;
+            d_store = Hw.store hw i;
+            d_set_base = Hw.set base_hw i;
+            d_set_variant = Hw.set hw i;
+            d_tainted =
+              (match address_provenance live (Hw.prov hw i) with
+              | [] -> address_provenance base (Hw.prov base_hw i)
+              | hops -> hops);
+          }
+      else scan (i + 1)
+    end
+    else if nb = nv then None
+    else
+      (* one run made more accesses: the trace *length* leaked *)
+      let longer_live, longer = if nv > nb then (live, hw) else (base, base_hw) in
+      Some
+        {
+          d_variant = variant;
+          d_index = n;
+          d_pc = Hw.pc longer n;
+          d_store = Hw.store longer n;
+          d_set_base = (if nb > n then Hw.set longer n else -1);
+          d_set_variant = (if nv > n then Hw.set longer n else -1);
+          d_tainted = address_provenance longer_live (Hw.prov longer n);
+        }
+  in
+  scan 0
+
+(* Under ct-seq a follower diverged when an access both runs made
+   differs, or when one run made more accesses than the other; under
+   ct-none nothing is observable, so nothing ever diverges. *)
+let diverges clause ~base_hw hw =
   match clause with
-  | Ct_none -> None
-  | Ct_seq ->
-      let nb = Hw.length base_hw and nv = Hw.length hw in
-      let n = min nb nv in
-      let rec scan i =
-        if i < n then begin
-          if Hw.set base_hw i <> Hw.set hw i || Hw.store base_hw i <> Hw.store hw i then
-            Some
-              {
-                d_variant = variant;
-                d_index = i;
-                d_pc = Hw.pc hw i;
-                d_store = Hw.store hw i;
-                d_set_base = Hw.set base_hw i;
-                d_set_variant = Hw.set hw i;
-                d_tainted =
-                  (match address_provenance live (Hw.prov hw i) with
-                  | [] -> address_provenance base (Hw.prov base_hw i)
-                  | hops -> hops);
-              }
-          else scan (i + 1)
-        end
-        else if nb = nv then None
-        else
-          (* one run made more accesses: the trace *length* leaked *)
-          let longer_live, longer = if nv > nb then (live, hw) else (base, base_hw) in
-          Some
-            {
-              d_variant = variant;
-              d_index = n;
-              d_pc = Hw.pc longer n;
-              d_store = Hw.store longer n;
-              d_set_base = (if nb > n then Hw.set longer n else -1);
-              d_set_variant = (if nv > n then Hw.set longer n else -1);
-              d_tainted = address_provenance longer_live (Hw.prov longer n);
-            }
-      in
-      scan 0
+  | Ct_none -> false
+  | Ct_seq -> Hw.first_mismatch hw <> None || Hw.length hw <> Hw.length base_hw
+
+let explain start i =
+  let base = run_variant start 0 and live = run_variant start i in
+  match first_divergence ~variant:i base (hwtrace_of base) live (hwtrace_of live) with
+  | Some d -> d
+  | None ->
+      failwith
+        (Printf.sprintf
+           "Leak.detect: variant %d diverged from the baseline untraced but \
+            not when re-run traced"
+           i)
 
 let detect ?(clause = Ct_seq) ~count ~start () =
   if count < 2 then invalid_arg "Leak.detect: need at least 2 variants";
-  let base = run_variant start 0 in
-  let base_hw = hwtrace_of base in
+  let base_hw = observe start 0 in
   let rec probe i =
     if i >= count then None
-    else
-      let live = run_variant start i in
-      match first_divergence clause ~variant:i base base_hw live (hwtrace_of live) with
-      | Some d -> Some d
-      | None -> probe (i + 1)
+    else if diverges clause ~base_hw (observe ~reference:base_hw start i) then
+      Some (explain start i)
+    else probe (i + 1)
   in
   let divergence = probe 1 in
   {

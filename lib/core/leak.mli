@@ -49,13 +49,27 @@ val detect :
 (** [detect ~count ~start ()] starts [count] variant sessions ([start i]
     for [i = 0..count-1]; variant 0 is the baseline), runs each to
     completion, and compares observations under [clause] (default
-    {!Ct_seq}).  Each session must have [Config.hwtrace] on; enable
-    [Config.trace] too if the verdict should name tainted bytes.
+    {!Ct_seq}).  Every session [start] returns must have
+    [Config.hwtrace] on.
+
+    Two passes.  The observation pass switches each session's Flowtrace
+    off before it runs: the baseline records its hardware trace, and
+    every later variant only follows it
+    ({!Shift_machine.Hwtrace.follow}), storing no entries.  A variant
+    diverges when an access both runs made differs in (store, set), or
+    when the runs made different numbers of accesses.  The explanation
+    pass runs only for the first variant that diverges: it calls
+    [start 0] and [start i] again, runs both as [start] configured them,
+    and names the first diverging access from their full traces.
+    Flowtrace is read only there, so enable [Config.trace] if the
+    verdict should name tainted bytes.  [start] is called [count] times
+    for a clean verdict and [count + 2] times at most for a leak.
     @raise Invalid_argument if [count < 2] or a variant session records
-    no hardware trace. *)
+    no hardware trace.
+    @raise Failure if [start] is not deterministic: the re-run traced
+    pair does not diverge although the observation pass saw it. *)
 
 val verdict_to_json : verdict -> Results.json
-val divergence_to_json : divergence -> Results.json
 
 val trace_jsonl : Session.live -> string
 (** The session's hardware trace as JSONL, newline-terminated: one

@@ -13,7 +13,15 @@
     costs amortised one copy per entry.  Readers take fields through
     the accessors ({!pc}, {!set}, {!hit}, {!store}, {!prov}), which
     allocate nothing either; {!get} and {!entries} build boxed
-    {!entry} records for export and tests. *)
+    {!entry} records for export and tests.
+
+    Follow mode: a trace switched to {!follow} a reference stores no
+    entries.  Each {!record} compares the access's clause-visible
+    (store, set) pair with the reference's entry at the same index and
+    keeps only the count ({!length}) and the index of the first
+    mismatch ({!first_mismatch}); the limit and [dropped] rules are the
+    same as for a recording trace.  The leak detector observes its
+    variants this way against the baseline's recorded trace. *)
 
 type entry = {
   e_pc : int;  (** guest pc of the load/store *)
@@ -33,6 +41,10 @@ type t = {
   mutable len : int;
   mutable dropped : int;  (** entries past [limit], counted not stored *)
   limit : int;
+  mutable reference : t option;  (** the trace followed, in follow mode *)
+  mutable mismatch : int;
+      (** follow mode: index of the first access whose (store, set)
+          differs from the reference's; -1 while none has *)
 }
 
 val disabled : unit -> t
@@ -44,16 +56,35 @@ val create : ?limit:int -> unit -> t
     and [dropped] counts the overflow, keeping memory bounded on long
     runs. *)
 
+val follow : t -> reference:t -> unit
+(** [follow t ~reference] switches the empty trace [t] to follow mode
+    and frees its entry array.  [reference] must be a recording trace;
+    it may still grow while [t] follows it.
+    @raise Invalid_argument if [t] has recorded or dropped an access,
+    or if [reference] follows a trace itself. *)
+
 val record :
   t -> pc:int -> set:int -> hit:bool -> store:bool -> prov:int -> unit
+(** Record one access; in follow mode, compare it instead.  Allocates
+    nothing except when a recording trace's array doubles. *)
 
 val length : t -> int
+(** Accesses recorded (or, in follow mode, compared), up to [limit]. *)
+
 val dropped : t -> int
+
+val first_mismatch : t -> int option
+(** Follow mode: the index of the first access whose (store, set)
+    differs from the reference's entry at that index.  Only indexes
+    both traces hold are compared, so two traces of different
+    {!length} can still have no mismatch.  [None] for a recording
+    trace. *)
 
 (** {1 Field accessors}
 
     [f t i] reads field [f] of entry [i].
-    @raise Invalid_argument unless [0 <= i < length t]. *)
+    @raise Invalid_argument unless [0 <= i < length t], and always in
+    follow mode, which holds no entries. *)
 
 val pc : t -> int -> int
 val set : t -> int -> int
@@ -69,4 +100,5 @@ val entries : t -> entry array
 (** All recorded entries, oldest first. *)
 
 val clear : t -> unit
-(** Forget recorded entries (keeps [enabled] as is). *)
+(** Forget recorded entries and any mismatch (keeps [enabled] and the
+    mode as they are). *)

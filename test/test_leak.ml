@@ -6,7 +6,8 @@
    byte-identical with superblocks on or off and across mid-trace
    checkpoint/restore; and the detector flags the lookup-table AES
    kernel (naming the key bytes that steered the diverging access)
-   while passing its constant-time twin. *)
+   while passing its constant-time twin, and reports every divergence
+   exactly as a detector that traced every variant in full. *)
 
 module Cache = Shift_machine.Cache
 module Hw = Shift_machine.Hwtrace
@@ -161,6 +162,40 @@ let buffer_cases =
         fill ();
         let words = Gc.minor_words () -. w0 in
         if words > 10. then Alcotest.failf "1000 records allocated %.0f words" words);
+    tc "a following trace compares without allocating or storing" (fun () ->
+        let reference = Hw.create () in
+        for i = 1 to 1000 do
+          Hw.record reference ~pc:i ~set:(i land 255) ~hit:true ~store:(i land 2 = 0) ~prov:0
+        done;
+        let hw = Hw.create () in
+        Hw.follow hw ~reference;
+        let w0 = Gc.minor_words () in
+        for i = 1 to 1000 do
+          (* the pc, hit bit and provenance are not clause-visible *)
+          Hw.record hw ~pc:(i + 7) ~set:(if i = 700 then 3 else i land 255) ~hit:false
+            ~store:(i land 2 = 0) ~prov:i
+        done;
+        let words = Gc.minor_words () -. w0 in
+        if words > 10. then Alcotest.failf "1000 following records allocated %.0f words" words;
+        Alcotest.(check int) "no entry array" 0 (Array.length hw.Hw.data);
+        Alcotest.(check int) "counted" 1000 (Hw.length hw);
+        Alcotest.(check (option int)) "first mismatch" (Some 699) (Hw.first_mismatch hw);
+        expect_invalid "entries of a follower" (fun () -> Hw.get hw 0));
+    tc "a following trace keeps the limit and dropped rules" (fun () ->
+        let reference = Hw.create ~limit:300 () in
+        for i = 1 to 1000 do
+          Hw.record reference ~pc:i ~set:(i land 255) ~hit:true ~store:false ~prov:0
+        done;
+        let hw = Hw.create ~limit:300 () in
+        Hw.follow hw ~reference;
+        for i = 1 to 1000 do
+          Hw.record hw ~pc:i ~set:(if i > 300 then 0 else i land 255) ~hit:true ~store:false
+            ~prov:0
+        done;
+        Alcotest.(check int) "kept" 300 (Hw.length hw);
+        Alcotest.(check int) "dropped" 700 (Hw.dropped hw);
+        Alcotest.(check (option int)) "nothing past the limit compared" None
+          (Hw.first_mismatch hw));
   ]
 
 (* ---------- the detector ---------- *)
@@ -215,8 +250,211 @@ let detector_cases =
         match r.Shift.Report.outcome with
         | Shift.Report.Exited _ -> ()
         | o -> Alcotest.failf "expected clean exit, got %a" Shift.Report.pp_outcome o);
+    tc "only the baseline records, and nothing observed is flow-traced" (fun () ->
+        match Catalog.leak_start ~mode:Mode.shift_word "aes-ct" with
+        | Error e -> Alcotest.fail e
+        | Ok start ->
+            let lives = ref [] in
+            let start i =
+              let l = start i in
+              lives := l :: !lives;
+              l
+            in
+            ignore (Leak.detect ~count:4 ~start ());
+            match List.rev !lives with
+            | [] -> Alcotest.fail "no session started"
+            | base :: variants ->
+                Alcotest.(check int) "one session per variant" 3 (List.length variants);
+                List.iter
+                  (fun l ->
+                    Alcotest.(check bool) "Flowtrace off" true (Option.is_none (Shift.Session.flowtrace l)))
+                  (base :: variants);
+                List.iter
+                  (fun l ->
+                    let hw = Option.get (Shift.Session.hwtrace l) in
+                    Alcotest.(check bool) "follows" true (Option.is_some hw.Hw.reference);
+                    Alcotest.(check int) "no entries stored" 0 (Array.length hw.Hw.data))
+                  variants);
     tc "detect requires at least two variants" (fun () ->
         expect_invalid "count:1" (fun () -> detect ~count:1 "aes-table"));
+  ]
+
+(* ---------- the two-pass detector against the full-trace one ---------- *)
+
+(* The detector as it was before it split observation from
+   explanation: every variant runs to the end flow-traced and records
+   its whole hardware trace, and the traces are compared access by
+   access.  Kept as the reference the two-pass detector must agree with
+   on every divergence record. *)
+module Reference = struct
+  module Ft = Shift_machine.Flowtrace
+
+  let run start i =
+    let live = start i in
+    ignore (run_to_end live);
+    (live, Option.get (Shift.Session.hwtrace live))
+
+  let address_provenance live id =
+    if id = 0 then []
+    else
+      match Shift.Session.flowtrace live with
+      | None -> []
+      | Some ft -> (
+          match Ft.source_of_id ft id with
+          | None -> []
+          | Some src ->
+              [
+                Printf.sprintf "input %s[%d] via %s" src.Ft.channel
+                  (Ft.input_offset src id) src.Ft.origin;
+              ])
+
+  let first_divergence ~variant (base, base_hw) (live, hw) =
+    let nb = Hw.length base_hw and nv = Hw.length hw in
+    let n = min nb nv in
+    let rec scan i =
+      if i < n then
+        if Hw.set base_hw i <> Hw.set hw i || Hw.store base_hw i <> Hw.store hw i then
+          Some
+            {
+              Leak.d_variant = variant;
+              d_index = i;
+              d_pc = Hw.pc hw i;
+              d_store = Hw.store hw i;
+              d_set_base = Hw.set base_hw i;
+              d_set_variant = Hw.set hw i;
+              d_tainted =
+                (match address_provenance live (Hw.prov hw i) with
+                | [] -> address_provenance base (Hw.prov base_hw i)
+                | hops -> hops);
+            }
+        else scan (i + 1)
+      else if nb = nv then None
+      else
+        let longer_live, longer = if nv > nb then (live, hw) else (base, base_hw) in
+        Some
+          {
+            Leak.d_variant = variant;
+            d_index = n;
+            d_pc = Hw.pc longer n;
+            d_store = Hw.store longer n;
+            d_set_base = (if nb > n then Hw.set longer n else -1);
+            d_set_variant = (if nv > n then Hw.set longer n else -1);
+            d_tainted = address_provenance longer_live (Hw.prov longer n);
+          }
+    in
+    scan 0
+
+  let detect ~count ~start =
+    let base = run start 0 in
+    let rec probe i =
+      if i >= count then None
+      else
+        match first_divergence ~variant:i base (run start i) with
+        | Some d -> Some d
+        | None -> probe (i + 1)
+    in
+    probe 1
+end
+
+(* A guest whose loop count is its tainted input byte.  The loop body
+   loads one table entry and nothing touches memory after the loop, so
+   a run with fewer iterations makes a strict prefix of the accesses of
+   a run with more: the variants differ in trace length only. *)
+let counted_loop =
+  let open Build in
+  let open Build.Infix in
+  {
+    Ir.globals = [ global_words "table" (List.init 8 Int64.of_int) ];
+    funcs =
+      [
+        func "main" ~params:[]
+          ~locals:[ scalar "fd"; scalar "buf"; scalar "n"; scalar "k"; scalar "acc" ]
+          ([
+             set "fd" (call "sys_open" [ str "count.bin" ]);
+             set "buf" (call "malloc" [ i 8 ]);
+             ecall "sys_read" [ v "fd"; v "buf"; i 1 ];
+             set "n" (call "untaint" [ load8 (v "buf") &: i 255 ]);
+             set "acc" (i 0);
+           ]
+          @ for_up "k" (i 0) (v "n")
+              [ set "acc" (v "acc" ^: load64 (v "table" +: i 8)) ]
+          @ [ ecall "sys_exit" [ i 0 ] ]);
+      ];
+  }
+
+(* variant [i] runs the loop [counts.(i)] times *)
+let counted_start counts =
+  let variant i w =
+    Shift_os.World.add_file w "count.bin" (String.make 1 (Char.chr counts.(i)))
+  in
+  let case =
+    {
+      Shift_attacks.Aes_table.case with
+      Shift_attacks.Attack_case.program_name = "counted loop";
+      program = counted_loop;
+      variants = Some variant;
+      cache = Shift.Session.image_cache ();
+    }
+  in
+  let mode = Mode.shift_word in
+  let image = Shift_attacks.Attack_case.image ~mode case in
+  fun i ->
+    Shift.Session.start
+      ~config:
+        (Shift_attacks.Attack_case.config ~trace:Shift_machine.Flowtrace.default_options
+           ~hwtrace:true ~mode ~input:(variant i) case)
+      image
+
+let divergence =
+  Alcotest.testable
+    (fun ppf (d : Leak.divergence) ->
+      Format.fprintf ppf "variant %d, access %d, pc %d %s, sets %d/%d, tainted_by [%s]"
+        d.Leak.d_variant d.d_index d.d_pc
+        (if d.d_store then "store" else "load")
+        d.d_set_base d.d_set_variant
+        (String.concat "; " d.d_tainted))
+    ( = )
+
+let agrees_with_reference ~count start =
+  let v = Leak.detect ~count ~start () in
+  let expected = Reference.detect ~count ~start in
+  Alcotest.(check (option divergence)) "divergence record" expected v.Leak.v_divergence;
+  v
+
+let differential_cases =
+  [
+    tc "variant 1 equals the baseline, variant 2 diverges" (fun () ->
+        match Catalog.leak_start ~mode:Mode.shift_word "aes-table" with
+        | Error e -> Alcotest.fail e
+        | Ok start ->
+            let start i = start (if i = 1 then 0 else i) in
+            let v = agrees_with_reference ~count:3 start in
+            Alcotest.(check (option int)) "diverging variant" (Some 2)
+              (Option.map (fun d -> d.Leak.d_variant) v.Leak.v_divergence));
+    tc "a variant makes more accesses than the baseline" (fun () ->
+        let v = agrees_with_reference ~count:2 (counted_start [| 3; 5 |]) in
+        match v.Leak.v_divergence with
+        | None -> Alcotest.fail "a longer variant must diverge"
+        | Some d -> Alcotest.(check int) "absent in the baseline" (-1) d.Leak.d_set_base);
+    tc "a variant makes fewer accesses than the baseline" (fun () ->
+        let v = agrees_with_reference ~count:2 (counted_start [| 5; 3 |]) in
+        match v.Leak.v_divergence with
+        | None -> Alcotest.fail "a shorter variant must diverge"
+        | Some d -> Alcotest.(check int) "absent in the variant" (-1) d.Leak.d_set_variant);
+    tc "a divergence the traced re-run does not reproduce fails loudly" (fun () ->
+        match Catalog.leak_start ~mode:Mode.shift_word "aes-table" with
+        | Error e -> Alcotest.fail e
+        | Ok start ->
+            (* a starter that is not deterministic: after the two
+               observation runs it only ever starts the baseline *)
+            let calls = ref 0 in
+            let start i =
+              incr calls;
+              start (if !calls > 2 then 0 else i)
+            in
+            match Leak.detect ~count:2 ~start () with
+            | exception Failure _ -> ()
+            | _ -> Alcotest.fail "expected Failure from the explanation re-run");
   ]
 
 let suites =
@@ -225,4 +463,5 @@ let suites =
     ("leak:identity", identity_cases);
     ("leak:buffer", buffer_cases);
     ("leak:detector", detector_cases);
+    ("leak:differential", differential_cases);
   ]
