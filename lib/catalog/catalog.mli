@@ -24,10 +24,10 @@ val leak_start :
     session under variant [i]'s input.  The detector switches Flowtrace
     off for its observation pass and reads it only when it re-runs a
     diverging pair; [shiftc leak --trace-out] exports [start 0] as
-    configured, with its [tainted_by] marks.  Every variant starts from the
-    case's cached image ({!Shift_attacks.Attack_case.image}), shared with
-    every other detection and run of the case under the same mode and
-    backend.  [Error] if the name is unknown or the case carries no
+    configured, with its [tainted_by] marks.  Every variant starts from
+    the case's cached image ({!Shift_attacks.Attack_case.image}), shared
+    with every other detection and run of the case under the same mode
+    and backend.  [Error] if the name is unknown or the case carries no
     variants.  The [leak] request, the sidechannel experiment and the
     benchmark all build their sessions here, so their observations
     cannot drift. *)

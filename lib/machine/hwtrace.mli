@@ -69,7 +69,7 @@ val record :
     nothing except when a recording trace's array doubles. *)
 
 val length : t -> int
-(** Accesses recorded (or, in follow mode, compared), up to [limit]. *)
+(** Accesses recorded (in follow mode, counted), up to [limit]. *)
 
 val dropped : t -> int
 
