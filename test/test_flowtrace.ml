@@ -70,6 +70,49 @@ let prov_tests =
         Util.check_int "left" 3 (Provenance.get p (a1 0x4001L));
         Util.check_int "cleared" 0 (Provenance.get p (a1 0x4003L));
         Util.check_int "right" 3 (Provenance.get p (a1 0x4006L)));
+    tc "shadow paging: ascending fold, zero pages skipped, strict load, deep clone"
+      (fun () ->
+        Util.check_int "four shadow bytes per guest byte" (4 * Memory.page_size)
+          Provenance.page_size;
+        let guest k = a1 (Int64.of_int (k * Memory.page_size)) in
+        let key k = Int64.shift_right_logical (guest k) 12 in
+        let p = Provenance.create () in
+        List.iter (fun k -> Provenance.set p (guest k) (k + 1)) [ 9; 2; 5 ];
+        (* allocated, then all zero again: counted but not folded *)
+        Provenance.set p (guest 7) 3;
+        Provenance.set p (guest 7) 0;
+        Util.check_int "allocated" 4 (Provenance.allocated_pages p);
+        let dump =
+          Provenance.fold_pages p ~init:[] ~f:(fun acc k data ->
+              (k, Bytes.to_string data) :: acc)
+          |> List.rev
+        in
+        Util.check_bool "ascending keys, zero page skipped" true
+          (List.map fst dump = List.map key [ 2; 5; 9 ]);
+        List.iter
+          (fun (_, data) ->
+            Util.check_int "page length" Provenance.page_size (String.length data))
+          dump;
+        Alcotest.check_raises "short page"
+          (Invalid_argument "Provenance.load_page: wrong page size") (fun () ->
+            Provenance.load_page p (key 2) "short");
+        Alcotest.check_raises "a guest-sized page"
+          (Invalid_argument "Provenance.load_page: wrong page size") (fun () ->
+            Provenance.load_page p (key 2) (String.make Memory.page_size '\000'));
+        let q = Provenance.create () in
+        List.iter (fun (k, data) -> Provenance.load_page q k data) dump;
+        Util.check_int "loaded pages" 3 (Provenance.allocated_pages q);
+        List.iter
+          (fun k -> Util.check_int "loaded id" (k + 1) (Provenance.get q (guest k)))
+          [ 2; 5; 9 ];
+        let c = Provenance.clone p in
+        Util.check_int "clone pages" 4 (Provenance.allocated_pages c);
+        Provenance.set c (guest 2) 77;
+        Provenance.set p (guest 5) 88;
+        Provenance.set p (guest 11) 1;
+        Util.check_int "source keeps its id" 3 (Provenance.get p (guest 2));
+        Util.check_int "clone keeps its id" 6 (Provenance.get c (guest 5));
+        Util.check_int "clone did not grow" 4 (Provenance.allocated_pages c));
   ]
 
 (* The span operations against a byte-at-a-time model: a table of

@@ -148,6 +148,105 @@ let protocol_tests =
         let negative = parse_error {|{"kind":"run","kernel":"gzip","size":-4}|} in
         Util.check_string "code" "bad_request"
           (Protocol.error_code_to_string negative.Protocol.code));
+    tc "request fields: refusal texts and absent-field defaults" (fun () ->
+        let refusal line =
+          match Shift.Results.of_string line with
+          | Error e -> Alcotest.failf "%S is not JSON: %s" line e
+          | Ok j -> (
+              match Protocol.request_of_json j with
+              | Error { Protocol.code = Protocol.Bad_request; message; _ } -> message
+              | Error e ->
+                  Alcotest.failf "%S: %s" line (Protocol.error_code_to_string e.Protocol.code)
+              | Ok _ -> Alcotest.failf "%S parsed" line)
+        in
+        let must field ty = Printf.sprintf "field %S must be %s" field ty in
+        List.iter
+          (fun (line, message) -> Util.check_string line message (refusal line))
+          [
+            ({|{"kind":"run"}|}, {|run requires a "kernel"|});
+            ({|{"kind":"attack"}|}, {|attack requires a "case"|});
+            ({|{"kind":"trace"}|}, {|trace requires an "image"|});
+            ({|{"kind":"leak"}|}, {|leak requires a "case"|});
+            ({|{"kind":"run","kernel":"gzip","mode":3}|}, must "mode" "a string");
+            ({|{"kind":"attack","case":"c","superblocks":1}|}, must "superblocks" "a boolean");
+            ({|{"kind":"trace","image":"i","backend":true}|}, must "backend" "a string");
+            ({|{"kind":"leak","case":"c","mode":[]}|}, must "mode" "a string");
+            ({|{"kind":"batch","superblocks":"no"}|}, must "superblocks" "a boolean");
+            ({|{"kind":"run","kernel":"gzip","size":"big"}|}, must "size" "an integer");
+            ({|{"kind":"batch","size":1.5}|}, must "size" "an integer");
+            ({|{"kind":"run","kernel":"gzip","safe":"yes"}|}, must "safe" "a boolean");
+            ({|{"kind":"batch","safe":0}|}, must "safe" "a boolean");
+            ({|{"kind":"attack","case":"c","benign":"no"}|}, must "benign" "a boolean");
+            ({|{"kind":"trace","image":"i","benign":1}|}, must "benign" "a boolean");
+            ({|{"kind":"trace","image":"i","ring":"big"}|}, must "ring" "an integer");
+            ({|{"kind":"trace","image":"i","events":["load"]}|}, must "events" "a string");
+            ({|{"kind":"batch","kernels":"gzip"}|}, must "kernels" "a list of strings");
+            ({|{"kind":"batch","kernels":["gzip",3]}|}, must "kernels" "a list of strings");
+            ({|{"kind":"batch","retries":"two"}|}, must "retries" "an integer");
+            ({|{"kind":"leak","case":"c","clause":1}|}, must "clause" "a string");
+            ({|{"kind":"leak","case":"c","variants":"4"}|}, must "variants" "an integer");
+            ({|{"kind":"leak","case":"c","clause":"ct-all"}|},
+             {|unknown contract clause "ct-all" (try ct-seq)|});
+          ];
+        let decoded line =
+          match Protocol.of_line line with
+          | Ok env -> env.Protocol.request
+          | Error e -> Alcotest.failf "%S refused: %s" line e.Protocol.message
+        in
+        let word = Mode.shift_word and nat = Shift.Backend.Nat in
+        List.iter
+          (fun (line, expected) ->
+            Util.check_bool line true (decoded line = expected))
+          [
+            ( {|{"kind":"run","kernel":"gzip"}|},
+              Protocol.Run
+                {
+                  kernel = "gzip";
+                  mode = word;
+                  size = None;
+                  safe = false;
+                  superblocks = true;
+                  backend = nat;
+                } );
+            ( {|{"kind":"attack","case":"c"}|},
+              Protocol.Attack
+                { case = "c"; mode = word; benign = false; superblocks = true; backend = nat }
+            );
+            ( {|{"kind":"trace","image":"i"}|},
+              Protocol.Trace
+                {
+                  image = "i";
+                  mode = word;
+                  benign = false;
+                  ring = 4096;
+                  only = None;
+                  superblocks = true;
+                  backend = nat;
+                } );
+            ( {|{"kind":"batch"}|},
+              Protocol.Batch
+                {
+                  kernels = [];
+                  mode = word;
+                  size = None;
+                  safe = false;
+                  retries = 0;
+                  superblocks = true;
+                  backend = nat;
+                } );
+            ( {|{"kind":"leak","case":"c"}|},
+              Protocol.Leak
+                {
+                  case = "c";
+                  mode = word;
+                  clause = Shift.Leak.Ct_seq;
+                  variants = 4;
+                  superblocks = true;
+                  backend = nat;
+                } );
+            ({|{"kind":"status"}|}, Protocol.Status);
+            ({|{"kind":"drain"}|}, Protocol.Drain);
+          ]);
     tc "a bad mode name is bad_request" (fun () ->
         Util.check_string "code" "bad_request"
           (Protocol.error_code_to_string
