@@ -22,19 +22,27 @@ type t = {
   mutable watch_lo : int64;
   mutable watch_hi : int64;
   mutable watchers : (int64 -> int -> unit) list;
+  page_len : int; (* bytes per page: page_size, or more for a shadow *)
 }
 
 let no_page = Bytes.create 0
 
-let create () =
+let make ~buckets ~page_len =
   {
-    pages = Hashtbl.create 1024;
+    pages = Hashtbl.create buckets;
     tlb_keys = Array.make tlb_size (-1L);
     tlb_pages = Array.make tlb_size no_page;
     watch_lo = 0L;
     watch_hi = 0L;
     watchers = [];
+    page_len;
   }
+
+let create () = make ~buckets:1024 ~page_len:page_size
+
+(* Every CPU carries a provenance shadow, traced or not, and most stay
+   empty: a small table keeps that cheap. *)
+let shadow ~page_len = make ~buckets:64 ~page_len
 
 let watch t ~lo ~hi f =
   (match t.watchers with
@@ -64,7 +72,7 @@ let page_of_key t key =
   match Hashtbl.find_opt t.pages key with
   | Some p -> p
   | None ->
-      let p = Bytes.make page_size '\000' in
+      let p = Bytes.make t.page_len '\000' in
       Hashtbl.add t.pages key p;
       p
 
@@ -82,6 +90,21 @@ let page t a =
     Array.unsafe_set t.tlb_pages slot p;
     p
   end
+
+(* [page] without the allocation: a page that was never written is
+   [no_page], and is not cached. *)
+let find t a =
+  let key = Int64.shift_right_logical a page_shift in
+  let slot = Int64.to_int key land (tlb_size - 1) in
+  if Int64.equal (Array.unsafe_get t.tlb_keys slot) key then
+    Array.unsafe_get t.tlb_pages slot
+  else
+    match Hashtbl.find_opt t.pages key with
+    | Some p ->
+        Array.unsafe_set t.tlb_keys slot key;
+        Array.unsafe_set t.tlb_pages slot p;
+        p
+    | None -> no_page
 
 let read_u8 t a =
   let p = page t a in
@@ -198,7 +221,7 @@ let allocated_pages t = Hashtbl.length t.pages
    two address spaces never alias.  The clone starts with a cold TLB and
    no watchers — the child's machine registers its own. *)
 let clone t =
-  let c = create () in
+  let c = if t.page_len = page_size then create () else shadow ~page_len:t.page_len in
   Hashtbl.iter (fun key p -> Hashtbl.add c.pages key (Bytes.copy p)) t.pages;
   c
 
@@ -212,6 +235,7 @@ let clone t =
 let zero_page = Bytes.make page_size '\000'
 
 let fold_pages t ~init ~f =
+  let zero = if t.page_len = page_size then zero_page else Bytes.make t.page_len '\000' in
   let keys =
     Hashtbl.fold (fun k _ acc -> k :: acc) t.pages []
     |> List.sort Int64.unsigned_compare
@@ -219,11 +243,11 @@ let fold_pages t ~init ~f =
   List.fold_left
     (fun acc key ->
       let p = Hashtbl.find t.pages key in
-      if Bytes.equal p zero_page then acc else f acc key p)
+      if Bytes.equal p zero then acc else f acc key p)
     init keys
 
 let load_page t key data =
-  if String.length data <> page_size then
+  if String.length data <> t.page_len then
     invalid_arg "Memory.load_page: page data must be exactly page_size bytes";
   let p = page_of_key t key in
-  Bytes.blit_string data 0 p 0 page_size
+  Bytes.blit_string data 0 p 0 t.page_len

@@ -10,6 +10,27 @@ type t
 val create : unit -> t
 
 val page_size : int
+(** Guest bytes per page.  A page's key is its address shifted right by
+    log2 [page_size]. *)
+
+val shadow : page_len:int -> t
+(** A shadow table: the same page keys, TLB, {!clone}, {!fold_pages}
+    and {!load_page} as guest memory, but each page holds [page_len]
+    bytes for its {!page_size} guest bytes (the provenance shadow keeps
+    four per guest byte, see {!Provenance}), and the table starts small
+    because most shadows stay empty.  Read and write its pages through
+    {!page} and {!find}; the byte accessors below address guest memory
+    only. *)
+
+val page : t -> int64 -> bytes
+(** [page t a] is the live page holding guest address [a], allocated
+    zero-filled on first use and cached in the TLB.  The byte for [a]
+    sits at [a land (page_size - 1)] times the bytes kept per guest
+    byte. *)
+
+val find : t -> int64 -> bytes
+(** Like {!page}, but never allocates: the page of [a] if one exists,
+    else an empty [bytes] (length 0). *)
 
 val watch : t -> lo:int64 -> hi:int64 -> (int64 -> int -> unit) -> unit
 (** Register a store observer for the address range [\[lo, hi)].  Every
@@ -44,9 +65,9 @@ val allocated_pages : t -> int
 (** Number of pages touched so far (for tests and reporting). *)
 
 val clone : t -> t
-(** Deep copy: a fresh memory whose pages hold the same bytes but never
-    alias the original (fork's address-space copy).  The clone has a
-    cold TLB and no watchers. *)
+(** Deep copy: a fresh memory (or shadow, with the same [page_len])
+    whose pages hold the same bytes but never alias the original (fork's
+    address-space copy).  The clone has a cold TLB and no watchers. *)
 
 (** {1 Page iteration (checkpoint/restore)} *)
 
@@ -58,6 +79,7 @@ val fold_pages : t -> init:'a -> f:('a -> int64 -> bytes -> 'a) -> 'a
     store: do not mutate it. *)
 
 val load_page : t -> int64 -> string -> unit
-(** [load_page t key data] installs [data] (exactly {!page_size} bytes)
-    as the page with the given key, allocating it if needed.
+(** [load_page t key data] installs [data] (exactly {!page_size} bytes,
+    or a shadow's [page_len]) as the page with the given key, allocating
+    it if needed.
     @raise Invalid_argument on a size mismatch. *)

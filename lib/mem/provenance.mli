@@ -7,15 +7,15 @@
     The ids themselves are interned to [source] records by
     {!Shift_machine.Flowtrace} — this module only stores and moves them.
 
-    The map is paged exactly like {!Memory} (4096 guest bytes per page,
-    allocated on first write) with a 64-entry direct-mapped TLB in
-    front, and the span operations mirror the shape of
-    {!Taint.set_range}: one masked walk per page the range touches
-    rather than one hashtable probe per byte.  A span inside one page —
-    every aligned guest load and store — is handled directly and, on a TLB hit,
-    allocates nothing; only spans crossing a page boundary pay for the
-    per-segment walk.  Reads of never-written pages return [0] without
-    allocating. *)
+    The map is a {!Memory.shadow} table: the same page keys, TLB,
+    clone, fold and load as guest memory, with pages of four bytes (one
+    little-endian int32 id) per guest byte, allocated on first write.
+    The span operations mirror the shape of {!Taint.set_range}: one
+    masked walk per page the range touches rather than one table probe
+    per byte.  A span inside one page — every aligned guest load and
+    store — is handled directly and, on a TLB hit, allocates nothing;
+    only spans crossing a page boundary pay for the per-segment walk.
+    Reads of never-written pages return [0] without allocating. *)
 
 type t
 
