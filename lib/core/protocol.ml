@@ -145,18 +145,6 @@ let string_list_field name =
       | _ -> None)
     "a list of strings"
 
-let mode_field j =
-  let* s = string_field "mode" j in
-  match s with
-  | None -> Ok Mode.shift_word
-  | Some s -> Mode.of_string s
-
-let backend_field j =
-  let* s = string_field "backend" j in
-  match s with
-  | None -> Ok Backend.Nat
-  | Some s -> Backend.of_string s
-
 let positive name v =
   match v with
   | Some n when n <= 0 -> Error (Printf.sprintf "field %S must be positive" name)
@@ -205,106 +193,64 @@ let hello_of_json j =
 
 (* ---------- requests ---------- *)
 
+(* The three readers every job kind shares: its naming field, the
+   engine triple with its defaults, and a default-false flag. *)
+
+let required kind name j =
+  let* v = string_field name j in
+  let article = if String.contains "aeiou" name.[0] then "an" else "a" in
+  Option.to_result ~none:(Printf.sprintf "%s requires %s %S" kind article name) v
+
+let engine j =
+  let of_name name default of_string =
+    let* s = string_field name j in
+    Option.fold ~none:(Ok default) ~some:of_string s
+  in
+  let* mode = of_name "mode" Mode.shift_word Mode.of_string in
+  let* superblocks = bool_field "superblocks" j in
+  let* backend = of_name "backend" Backend.Nat Backend.of_string in
+  Ok (mode, Option.value ~default:true superblocks, backend)
+
+let flag name j = Result.map (Option.value ~default:false) (bool_field name j)
+
 let body_of_json kind j =
   match kind with
   | "run" ->
-      let* kernel = string_field "kernel" j in
-      let* kernel =
-        Option.to_result ~none:"run requires a \"kernel\"" kernel
-      in
-      let* mode = mode_field j in
+      let* kernel = required kind "kernel" j in
+      let* mode, superblocks, backend = engine j in
       let* size = int_field "size" j in
-      let* safe = bool_field "safe" j in
-      let* superblocks = bool_field "superblocks" j in
-      let* backend = backend_field j in
-      Ok
-        (Run
-           {
-             kernel;
-             mode;
-             size;
-             safe = Option.value ~default:false safe;
-             superblocks = Option.value ~default:true superblocks;
-             backend;
-           })
+      let* safe = flag "safe" j in
+      Ok (Run { kernel; mode; size; safe; superblocks; backend })
   | "attack" ->
-      let* case = string_field "case" j in
-      let* case = Option.to_result ~none:"attack requires a \"case\"" case in
-      let* mode = mode_field j in
-      let* benign = bool_field "benign" j in
-      let* superblocks = bool_field "superblocks" j in
-      let* backend = backend_field j in
-      Ok
-        (Attack
-           {
-             case;
-             mode;
-             benign = Option.value ~default:false benign;
-             superblocks = Option.value ~default:true superblocks;
-             backend;
-           })
+      let* case = required kind "case" j in
+      let* mode, superblocks, backend = engine j in
+      let* benign = flag "benign" j in
+      Ok (Attack { case; mode; benign; superblocks; backend })
   | "trace" ->
-      let* image = string_field "image" j in
-      let* image = Option.to_result ~none:"trace requires an \"image\"" image in
-      let* mode = mode_field j in
-      let* benign = bool_field "benign" j in
+      let* image = required kind "image" j in
+      let* mode, superblocks, backend = engine j in
+      let* benign = flag "benign" j in
       let* ring = int_field "ring" j in
       let* only = string_field "events" j in
-      let* superblocks = bool_field "superblocks" j in
-      let* backend = backend_field j in
-      Ok
-        (Trace
-           {
-             image;
-             mode;
-             benign = Option.value ~default:false benign;
-             ring = Option.value ~default:4096 ring;
-             only;
-             superblocks = Option.value ~default:true superblocks;
-             backend;
-           })
+      let ring = Option.value ~default:4096 ring in
+      Ok (Trace { image; mode; benign; ring; only; superblocks; backend })
   | "batch" ->
       let* kernels = string_list_field "kernels" j in
-      let* mode = mode_field j in
+      let* mode, superblocks, backend = engine j in
       let* size = int_field "size" j in
-      let* safe = bool_field "safe" j in
+      let* safe = flag "safe" j in
       let* retries = int_field "retries" j in
-      let* superblocks = bool_field "superblocks" j in
-      let* backend = backend_field j in
-      Ok
-        (Batch
-           {
-             kernels = Option.value ~default:[] kernels;
-             mode;
-             size;
-             safe = Option.value ~default:false safe;
-             retries = Option.value ~default:0 retries;
-             superblocks = Option.value ~default:true superblocks;
-             backend;
-           })
+      let kernels = Option.value ~default:[] kernels in
+      let retries = Option.value ~default:0 retries in
+      Ok (Batch { kernels; mode; size; safe; retries; superblocks; backend })
   | "leak" ->
-      let* case = string_field "case" j in
-      let* case = Option.to_result ~none:"leak requires a \"case\"" case in
-      let* mode = mode_field j in
+      let* case = required kind "case" j in
+      let* mode, superblocks, backend = engine j in
       let* clause = string_field "clause" j in
-      let* clause =
-        match clause with
-        | None -> Ok Leak.Ct_seq
-        | Some s -> Leak.clause_of_string s
-      in
+      let* clause = Option.fold ~none:(Ok Leak.Ct_seq) ~some:Leak.clause_of_string clause in
       let* variants = int_field "variants" j in
-      let* superblocks = bool_field "superblocks" j in
-      let* backend = backend_field j in
-      Ok
-        (Leak
-           {
-             case;
-             mode;
-             clause;
-             variants = Option.value ~default:4 variants;
-             superblocks = Option.value ~default:true superblocks;
-             backend;
-           })
+      let variants = Option.value ~default:4 variants in
+      Ok (Leak { case; mode; clause; variants; superblocks; backend })
   | "status" -> Ok Status
   | "drain" -> Ok Drain
   | kind ->
@@ -434,13 +380,10 @@ let request_to_json (env : envelope) =
   in
   Results.Obj (common @ body)
 
-let ok_response ?tenant ~id result =
+let ok_response ?tenant ?id result =
+  let opt name = function Some v -> [ (name, Results.String v) ] | None -> [] in
   Results.Obj
-    ([ ("id", Results.String id); ("ok", Results.Bool true) ]
-    @ (match tenant with
-      | Some t -> [ ("tenant", Results.String t) ]
-      | None -> [])
-    @ [ ("result", result) ])
+    (opt "id" id @ [ ("ok", Results.Bool true) ] @ opt "tenant" tenant @ [ ("result", result) ])
 
 let error_response (e : error) =
   Results.Obj

@@ -162,8 +162,9 @@ val request_to_json : envelope -> Results.json
 (** Serialise a request envelope (the client side of
     {!request_of_json}; round-trips through it). *)
 
-val ok_response : ?tenant:string -> id:string -> Results.json -> Results.json
-(** [{"id": .., "ok": true, ("tenant": ..,) "result": ..}] *)
+val ok_response : ?tenant:string -> ?id:string -> Results.json -> Results.json
+(** [{("id": ..,) "ok": true, ("tenant": ..,) "result": ..}]; an id-less
+    status or drain gets its answer without the id. *)
 
 val error_response : error -> Results.json
 (** [{("id": ..,) "ok": false, "error": {"code": .., "message": ..}}] *)

@@ -290,17 +290,7 @@ module Server = struct
            { Protocol.code; message; error_id = id })
     in
     let reply_ok conn ?id ?tenant result =
-      match id with
-      | Some id -> send conn (Protocol.ok_response ?tenant ~id result)
-      | None ->
-          (* id-less status/drain: same shape minus the id field *)
-          send conn
-            (J.Obj
-               ([ ("ok", J.Bool true) ]
-               @ (match tenant with
-                 | Some t -> [ ("tenant", J.String t) ]
-                 | None -> [])
-               @ [ ("result", result) ]))
+      send conn (Protocol.ok_response ?tenant ?id result)
     in
     let status_json () =
       J.Obj
