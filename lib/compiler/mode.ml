@@ -12,10 +12,6 @@ let enh_both = { set_clear_nat = true; nat_aware_cmp = true }
 let shift_byte = Shift { granularity = Shift_mem.Granularity.Byte; enh = no_enh }
 let shift_word = Shift { granularity = Shift_mem.Granularity.Word; enh = no_enh }
 
-let uses_nat = function
-  | Uninstrumented | Software_dbt _ -> false
-  | Shift _ -> true
-
 let to_string = function
   | Uninstrumented -> "uninstrumented"
   | Shift { granularity; enh } ->

@@ -20,8 +20,6 @@ type t =
       (** LIFT-like all-software baseline: register tags live in a
           shadow table in memory, every instruction is instrumented *)
 
-val no_enh : enhancements
-
 (** Set/clear NaT only. *)
 val enh1 : enhancements
 
@@ -33,7 +31,6 @@ val shift_byte : t
 (** Word granularity, base ISA. *)
 val shift_word : t
 
-val uses_nat : t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -153,10 +153,6 @@ val capture :
     shadow and kernel context dumped per process and the top-level
     [memory] page list empty. *)
 
-val export_cpu : traced:bool -> Shift_machine.Cpu.t -> hart
-(** Deep copy of one hart's state ([traced] adds the register
-    provenance shadow). *)
-
 val import_cpu : hart -> Shift_machine.Cpu.t -> unit
 (** Overwrite a freshly created CPU's state with the hart's.  The
     hart's arrays must have the machine's lengths, as every captured or

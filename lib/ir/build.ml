@@ -29,7 +29,6 @@ let func name ~params ~locals body = { Ir.fname = name; params; locals; body }
 let global_bytes name s = { Ir.gname = name; datum = Ir.Bytes s }
 let global_zeros name n = { Ir.gname = name; datum = Ir.Zeros n }
 let global_words name ws = { Ir.gname = name; datum = Ir.Words ws }
-let not_ e = Ir.Unop (Ir.Lnot, e)
 let fnptr f = Ir.Fnptr f
 let icall f args = Ir.Icall (f, args)
 let guard e handler = Ir.Guard (e, handler)
@@ -52,8 +51,6 @@ module Infix = struct
   let ( <=: ) a b = bin Ir.Le a b
   let ( >: ) a b = bin Ir.Gt a b
   let ( >=: ) a b = bin Ir.Ge a b
-  let ult a b = bin Ir.Ltu a b
-  let uge a b = bin Ir.Geu a b
   let ( &&: ) a b = bin Ir.Land a b
   let ( ||: ) a b = bin Ir.Lor a b
 end

@@ -45,8 +45,6 @@ val global_bytes : string -> string -> Ir.global
 val global_zeros : string -> int -> Ir.global
 val global_words : string -> int64 list -> Ir.global
 
-val not_ : Ir.expr -> Ir.expr
-
 val fnptr : string -> Ir.expr
 (** Function pointer (the code address of a named function). *)
 
@@ -76,8 +74,6 @@ module Infix : sig
   val ( <=: ) : Ir.expr -> Ir.expr -> Ir.expr
   val ( >: ) : Ir.expr -> Ir.expr -> Ir.expr
   val ( >=: ) : Ir.expr -> Ir.expr -> Ir.expr
-  val ult : Ir.expr -> Ir.expr -> Ir.expr
-  val uge : Ir.expr -> Ir.expr -> Ir.expr
   val ( &&: ) : Ir.expr -> Ir.expr -> Ir.expr
   val ( ||: ) : Ir.expr -> Ir.expr -> Ir.expr
 end

@@ -47,10 +47,6 @@ let mk ?(qp = Pred.p0) ?(prov = Prov.Orig) op = { qp; op; prov }
 
 let is_mem = function Ld _ | St _ | Fetchadd _ -> true | _ -> false
 
-let is_branch = function
-  | Br _ | Br_reg _ | Call _ | Call_reg _ | Ret | Chk_s _ -> true
-  | _ -> false
-
 let operand_reads = function R r -> [ r ] | Imm _ -> []
 
 let reads = function
@@ -78,7 +74,6 @@ let writes = function
   | Call _ | Call_reg _ -> [ Reg.ret ]
   | Syscall -> [ Reg.ret ]
 
-let reads_preds _ = []
 let writes_preds = function
   | Cmp { pt; pf; _ } | Tnat { pt; pf; _ } -> [ pt; pf ]
   | _ -> []

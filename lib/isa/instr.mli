@@ -92,16 +92,12 @@ val mk : ?qp:Pred.t -> ?prov:Prov.t -> op -> t
 val is_mem : op -> bool
 (** Whether the operation uses a memory port (loads and stores). *)
 
-val is_branch : op -> bool
-(** Whether the operation may redirect control flow. *)
-
 val reads : op -> Reg.t list
 (** Register sources (value or NaT consumed). *)
 
 val writes : op -> Reg.t list
 (** Register destinations. *)
 
-val reads_preds : op -> Pred.t list
 val writes_preds : op -> Pred.t list
 
 val pp : Format.formatter -> t -> unit

@@ -172,9 +172,7 @@ val step : t -> outcome option
     Exposed so {!Superblock} can compile instruction bodies that are
     observably identical to {!step}.  Not a stable user API. *)
 
-val branch_penalty : int
 val chk_penalty : int
-val syscall_overhead : int
 
 val eval_arith : Shift_isa.Instr.arith -> int64 -> int64 -> int64
 (** Arithmetic semantics; raises {!Fault_exn} on division by zero. *)
@@ -194,7 +192,7 @@ val unat_bit : int64 -> int
 
 val goto : t -> int -> unit
 (** Taken control transfer: set [ip], count the branch, redirect the
-    pipeline with {!branch_penalty}. *)
+    pipeline with the one-cycle branch penalty. *)
 
 val track_op : t -> Decode.info -> unit
 (** The tag-coprocessor mirror of one executing instruction: push the

@@ -16,6 +16,7 @@ type t = info array
 
 let no_regs : int array = [||]
 
+(* the latency class: 1 ALU, 2 load, 3 multiply, 12 divide *)
 let latency_of (op : Instr.op) =
   match op with
   | Instr.Ld _ -> 2

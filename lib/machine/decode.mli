@@ -33,6 +33,3 @@ type t = info array
 val of_program : Shift_isa.Program.t -> t
 (** Decode every instruction.  Assembly already checked all referenced
     labels, so target resolution cannot fail. *)
-
-val latency_of : Shift_isa.Instr.op -> int
-(** The latency class (1 ALU, 2 load, 3 multiply, 12 divide). *)

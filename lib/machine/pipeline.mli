@@ -19,9 +19,6 @@ val create : unit -> t
 (** Issue slots per cycle (6). *)
 val width : int
 
-(** Memory operations per cycle (2). *)
-val mem_ports : int
-
 val issue :
   t ->
   executing:bool ->

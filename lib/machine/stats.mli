@@ -63,9 +63,6 @@ type superblocks = {
 val sb_create : unit -> superblocks
 (** Fresh, all-zero counters. *)
 
-val sb_add : into:superblocks -> superblocks -> unit
-(** Element-wise accumulate. *)
-
 val sb_total : superblocks list -> superblocks
 (** Fresh element-wise sum (aggregating SMP harts). *)
 

@@ -47,8 +47,8 @@ module Memory = Shift_mem.Memory
 module Addr = Shift_mem.Addr
 module Tracking = Shift_tracking.Tracking
 
-let hot_threshold = 8
-let max_block_len = 64
+let hot_threshold = 8 (* dispatches of an entry pc before its block compiles *)
+let max_block_len = 64 (* instructions per compiled block, at most *)
 
 (* The code region: instruction slot [pc] occupies the 8 bytes at
    [code_addr pc].  Region 2 is otherwise unused (0 = taint bitmap,

@@ -6,7 +6,7 @@
     interpreter.  Per-entry-pc execution counters discover hot code;
     regions are cut at the first control transfer ([br], [br.reg],
     [call], [call.reg], [ret], [chk.s], [syscall], [halt]), at program
-    end, or at {!max_block_len} instructions.
+    end, or at 64 instructions.
 
     The invariant is {e counter identity}: with superblocks on, every
     piece of simulated state — {!Stats.t}, pipeline cycles, cache
@@ -31,15 +31,6 @@
     ([coproc]) every compiled slot ticks the machine's tag coprocessor
     and pushes the records {!Cpu.track_op} would, in {!Cpu.step}'s
     order. *)
-
-val hot_threshold : int
-(** Times an entry pc must be dispatched before its block is compiled. *)
-
-val max_block_len : int
-(** Upper bound on instructions per compiled block. *)
-
-val code_base : int64
-(** Base of the synthetic code region (region 2). *)
 
 val code_addr : int -> int64
 (** [code_addr pc] is the address of instruction slot [pc]: 8 bytes per

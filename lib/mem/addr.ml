@@ -1,7 +1,7 @@
 let region_shift = 61
 let impl_bits = 40
 let impl_mask = Int64.sub (Int64.shift_left 1L impl_bits) 1L
-let null_guard = 4096L
+let null_guard = 4096L (* offsets below it fault in every region: the null page *)
 
 let region a = Int64.to_int (Int64.logand (Int64.shift_right_logical a region_shift) 7L)
 let offset a = Int64.logand a impl_mask

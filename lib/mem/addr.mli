@@ -21,10 +21,6 @@ val impl_mask : int64
 (** [(1 << impl_bits) - 1]: mask of the implemented offset bits.  The
     instrumentation keeps this constant in a reserved register. *)
 
-val null_guard : int64
-(** Offsets below this value are invalid in every region (the null
-    page), so that null-pointer dereferences fault. *)
-
 val region : int64 -> int
 (** Region number (top three bits) of an address. *)
 

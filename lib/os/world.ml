@@ -594,7 +594,6 @@ let base_ctx t = t.base
 let current_ctx t = t.cur
 let use_ctx t ctx = t.cur <- ctx
 let ctx_pid ctx = ctx.pid
-let ctx_comm ctx = ctx.comm
 let set_comm ctx comm = ctx.comm <- comm
 
 (* the child's descriptor table is a copy of the parent's: same objects,

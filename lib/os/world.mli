@@ -85,10 +85,6 @@ val set_threads :
     by a [Threads] session); [join] returning [None] means "still
     running" and makes the caller spin. *)
 
-val taint_positions : t -> Shift_machine.Cpu.t -> int64 -> string -> int list
-(** Positions of tainted bytes of a guest string at an address (reads
-    the bitmap at this world's granularity). *)
-
 (** {1 Processes}
 
     Everything below is driven by {!Procs}; a world without
@@ -139,7 +135,6 @@ val use_ctx : t -> ctx -> unit
 (** Context switch: subsequent syscalls run against this context. *)
 
 val ctx_pid : ctx -> int
-val ctx_comm : ctx -> string
 
 val set_comm : ctx -> string -> unit
 (** Name the process (shown in alerts and provenance hops). *)

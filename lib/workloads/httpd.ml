@@ -135,7 +135,6 @@ let io_cost =
 let rtt_cycles = 40_000
 
 let file_name ~file_size = Printf.sprintf "file_%dk" (file_size / 1024)
-let request_path ~file_size = file_name ~file_size
 
 let setup ~file_size ~requests world =
   let body = Inputs.bytes ~seed:80 file_size in

@@ -24,20 +24,12 @@ val setup : file_size:int -> requests:int -> Shift_os.World.t -> unit
 (** Install a static file of [file_size] bytes and queue [requests]
     GETs for it. *)
 
-val request_path : file_size:int -> string
-
-val max_workers : int
-(** Cap on {!worker_program}'s fleet size (8). *)
-
 val worker_program : workers:int -> Ir.program
 (** The worker-process personality: the master forks [workers] (clamped
-    to [1..max_workers]) children, each running the same accept loop
+    to [1..8]) children, each running the same accept loop
     over the shared pending-request queue; a worker exits with its
     served count once the queue drains, and the master reaps them all
     and exits with the fleet's total. *)
-
-val default_slice : int
-(** Engine-slice size {!serve} advances by (100k instructions). *)
 
 val serve :
   ?policy:Shift_policy.Policy.t ->
