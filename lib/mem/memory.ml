@@ -27,9 +27,9 @@ type t = {
 
 let no_page = Bytes.create 0
 
-let make ~buckets ~page_len =
+let make ~page_len pages =
   {
-    pages = Hashtbl.create buckets;
+    pages;
     tlb_keys = Array.make tlb_size (-1L);
     tlb_pages = Array.make tlb_size no_page;
     watch_lo = 0L;
@@ -38,11 +38,11 @@ let make ~buckets ~page_len =
     page_len;
   }
 
-let create () = make ~buckets:1024 ~page_len:page_size
+let create () = make ~page_len:page_size (Hashtbl.create 1024)
 
 (* Every CPU carries a provenance shadow, traced or not, and most stay
    empty: a small table keeps that cheap. *)
-let shadow ~page_len = make ~buckets:64 ~page_len
+let shadow ~page_len = make ~page_len (Hashtbl.create 64)
 
 let watch t ~lo ~hi f =
   (match t.watchers with
@@ -217,13 +217,14 @@ let write_cstring t a s =
 
 let allocated_pages t = Hashtbl.length t.pages
 
-(* Deep copy for fork: every page is blitted into a fresh table so the
-   two address spaces never alias.  The clone starts with a cold TLB and
-   no watchers — the child's machine registers its own. *)
+(* Deep copy for fork: every page is copied into a copy of the table
+   (same page length, same size) so the two address spaces never alias.
+   The clone starts with a cold TLB and no watchers — the child's
+   machine registers its own. *)
 let clone t =
-  let c = if t.page_len = page_size then create () else shadow ~page_len:t.page_len in
-  Hashtbl.iter (fun key p -> Hashtbl.add c.pages key (Bytes.copy p)) t.pages;
-  c
+  let pages = Hashtbl.copy t.pages in
+  Hashtbl.filter_map_inplace (fun _ p -> Some (Bytes.copy p)) pages;
+  make ~page_len:t.page_len pages
 
 (* ---------- page iteration (checkpoint/restore) ----------
 
@@ -232,10 +233,8 @@ let clone t =
    All-zero pages are skipped: a fresh page is zero-filled, so eliding
    them loses nothing observable and keeps snapshots sparse. *)
 
-let zero_page = Bytes.make page_size '\000'
-
 let fold_pages t ~init ~f =
-  let zero = if t.page_len = page_size then zero_page else Bytes.make t.page_len '\000' in
+  let zero = Bytes.make t.page_len '\000' in
   let keys =
     Hashtbl.fold (fun k _ acc -> k :: acc) t.pages []
     |> List.sort Int64.unsigned_compare
